@@ -60,7 +60,7 @@ impl PdSllm {
             }
             let rank = if hw.kind.is_cpu() { 0u8 } else { 1 };
             for slot in 0..w.slot_count(node) {
-                if w.instances_on_slot(node, slot).is_empty() {
+                if w.slot_instances(node, slot).is_empty() {
                     slots.push((rank, node, slot));
                 }
             }
@@ -93,7 +93,7 @@ impl PdSllm {
                 continue;
             }
             if w.create_instance(model, node, slot, grant).is_ok() {
-                return w.instances_on_slot(node, slot).last().copied();
+                return w.slot_instances(node, slot).last().copied();
             }
         }
         None
@@ -101,15 +101,13 @@ impl PdSllm {
 
     fn try_place_prefill(&mut self, w: &mut World, rr: &RunningRequest) -> bool {
         let model = rr.req.model;
-        for inst in w.instances_of_model(model) {
-            if !self.prefill_insts.contains(&inst) {
-                continue;
-            }
+        let open = w.model_instances(model).iter().copied().find(|&inst| {
             let live = w.instance(inst).map(|i| i.live_count()).unwrap_or(u32::MAX);
-            if live < self.prefill_depth {
-                w.admit(inst, rr.clone());
-                return true;
-            }
+            self.prefill_insts.contains(&inst) && live < self.prefill_depth
+        });
+        if let Some(inst) = open {
+            w.admit(inst, rr.clone());
+            return true;
         }
         if let Some(inst) = self.create_on_free_slot(w, model) {
             self.prefill_insts.insert(inst);
@@ -125,7 +123,7 @@ impl PdSllm {
         rr: RunningRequest,
     ) -> Result<(), RunningRequest> {
         let model = rr.req.model;
-        for inst in w.instances_of_model(model) {
+        for inst in w.model_instances(model).to_vec() {
             if self.prefill_insts.contains(&inst) {
                 continue;
             }
@@ -197,7 +195,7 @@ impl Policy for PdSllm {
     }
 
     fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
-        for inst in w.instances_on_slot(node, slot) {
+        for inst in w.slot_instances(node, slot).to_vec() {
             let Some(i) = w.instance(inst) else { continue };
             if !i.has_work() {
                 continue;

@@ -332,7 +332,7 @@ impl Policy for Sllm {
 
     fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
         // vLLM-style: eager FIFO prefill, else decode.
-        for inst in w.instances_on_slot(node, slot) {
+        for inst in w.slot_instances(node, slot).to_vec() {
             let Some(i) = w.instance(inst) else { continue };
             if !i.has_work() {
                 continue;

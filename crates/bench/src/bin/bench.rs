@@ -1,7 +1,7 @@
-//! The multi-experiment runner: enumerate, run one, or run all.
+//! The experiment runner: enumerate, run one, or run all.
 //!
 //! ```text
-//! bench list                     # names and titles of all 26 experiments
+//! bench list                     # names and titles of every experiment
 //! bench all [options]            # run every experiment, in registry order
 //! bench run <name> [options]     # run one experiment by name
 //! ```
@@ -37,7 +37,7 @@ fn parse_opts<I: Iterator<Item = String>>(rest: I) -> Cli {
 }
 
 fn main() {
-    // detlint::allow(D004, "CLI argument intake for the multi-runner; parsed before any simulation")
+    // detlint::allow(D004, "CLI argument intake for the bench runner; parsed before any simulation")
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("list") => match args.next().as_deref() {
@@ -74,18 +74,9 @@ fn main() {
         },
         Some("all") => {
             let cli = parse_opts(args);
-            // One process runs every experiment: memoize identical sweep
-            // cells so later experiments skip work earlier ones already
-            // did (results are byte-identical either way).
-            bench::memo::enable();
             for e in REGISTRY {
                 registry::present(&registry::run_experiment(e, &cli), &cli);
             }
-            let reused = bench::memo::hits();
-            if reused > 0 {
-                eprintln!("bench all: {reused} sweep cell(s) served from the per-cell cache");
-            }
-            bench::memo::disable();
         }
         Some("run") => {
             let name = args

@@ -1,7 +1,6 @@
 //! Unified experiment command line.
 //!
-//! Every figure binary accepts the same four flags, replacing the ad-hoc
-//! `arg_seed`/`quick_mode` env parsing the binaries used to copy-paste:
+//! `bench run <name>` and `bench all` accept the same four flags:
 //!
 //! - `--seed N` — root seed for traces and worlds (default 42).
 //! - `--quick` — shrink sweeps for smoke runs (CI).
@@ -17,7 +16,7 @@
 
 use std::fmt;
 
-/// Parsed experiment options shared by all figure binaries.
+/// Parsed experiment options shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// Root seed (`--seed`, env `SEED`, default 42).

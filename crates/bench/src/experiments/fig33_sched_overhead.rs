@@ -1,5 +1,5 @@
-//! Figure 33 — scheduling overhead vs cluster size (§IX-H), wall-clock
-//! version (see `benches/sched_overhead.rs` for the Criterion variant).
+//! Figure 33 — scheduling overhead vs cluster size (§IX-H), on the wall
+//! clock.
 //!
 //! Times shadow validation and token-level scheduling decisions directly.
 //! Paper: both stay below ~0.5 ms; validation cost grows mildly with the

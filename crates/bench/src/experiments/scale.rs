@@ -20,11 +20,10 @@
 //!   *warn* on machine-speed noise.
 //!
 //! Cells run serially — never through the sweep's worker pool — so each
-//! wall-clock measurement gets the whole machine and nothing is retained
-//! by the `bench all` cell cache (a million-record `RunMetrics` has no
-//! business being memoized). `--threads` is deliberately ignored. Peak
-//! RSS is the process-wide high-water mark (`VmHWM`), so it is monotone
-//! across rows and only the largest cell's row is a meaningful ceiling.
+//! wall-clock measurement gets the whole machine. `--threads` is
+//! deliberately ignored. Peak RSS is the process-wide high-water mark
+//! (`VmHWM`), so it is monotone across rows and only the largest cell's
+//! row is a meaningful ceiling.
 //!
 //! The full grid doubles as the tentpole's scale proof: the 10k-node ×
 //! 1M-request cell exercises the calendar event queue, the instance

@@ -1,11 +1,12 @@
 //! Experiment harness for the SLINFER reproduction.
 //!
-//! Each table/figure of the paper is one [`registry`] entry with a binary
-//! stub under `src/bin/` (plus the `bench` multi-runner). This library
-//! holds the shared machinery:
+//! Each table/figure of the paper is one [`registry`] entry, run by the
+//! `bench` binary (`bench run <name>`, `bench all`). This library holds
+//! the shared machinery:
 //!
 //! - [`cli`] — the unified `--seed`/`--quick`/`--threads`/`--json` command
-//!   line every binary accepts (with `SEED`/`BENCH_QUICK` env fallbacks).
+//!   line `bench run` and `bench all` accept (with `SEED`/`BENCH_QUICK`
+//!   env fallbacks).
 //! - [`sweep`] — the declarative (point × system × seed) [`sweep::Sweep`]
 //!   grid and its parallel, deterministic driver (progress/ETA on stderr
 //!   via [`sweep::Sweep::run_cli`]). Cells build a composable
@@ -18,20 +19,15 @@
 //! - [`report`] — the [`Report`] sink experiments append to (tables,
 //!   prose, paper notes, JSON blobs); presentation is serial and ordered,
 //!   which keeps output byte-identical at any worker count.
-//! - [`memo`] — per-cell memoization for `bench all`: identical
-//!   (point × system × seed) cells an earlier experiment in the same
-//!   invocation already ran are served from cache, byte-identically.
-//! - [`registry`] — the experiment registry tooling enumerates, and the
-//!   shared binary entry point [`registry::main_for`].
-//! - [`experiments`] — the 26 paper experiments plus the scenario suite
-//!   (`slo_mix`, `fault_drain`, `mixed_arrivals`).
+//! - [`registry`] — the experiment registry tooling enumerates.
+//! - [`experiments`] — one module per registry entry: the paper's
+//!   figures and tables, the scenario suite, and the `scale` perf grid.
 //! - [`zoo`] — model-zoo builders (replica zoos, popularity mixes).
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod experiments;
-pub mod memo;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -39,7 +35,7 @@ pub mod sweep;
 pub mod zoo;
 
 pub use cli::Cli;
-pub use registry::{find, main_for, run_experiment, Experiment, REGISTRY};
+pub use registry::{find, run_experiment, Experiment, REGISTRY};
 pub use report::{Report, Table};
 pub use runner::{System, SystemResult};
 pub use sweep::{Scenario, Sweep, SweepResults};

@@ -163,22 +163,7 @@ impl<'a, P: Sync> Sweep<'a, P> {
                 seed: self.seeds[k],
                 seed_ix: k,
             };
-            let sc = scenario(&cx);
-            // Multi-experiment invocations (`bench all`) memoize cells: a
-            // simulation is a pure function of the scenario + system, so an
-            // identical cell an earlier experiment already ran can only
-            // reproduce identical metrics — serve the cached clone.
-            if crate::memo::enabled() {
-                let key = crate::memo::cell_key(&sc, cx.system);
-                if let Some(m) = crate::memo::lookup(key) {
-                    return m;
-                }
-                let m = cx.system.run_scenario(sc);
-                crate::memo::store(key, &m);
-                m
-            } else {
-                cx.system.run_scenario(sc)
-            }
+            cx.system.run_scenario(scenario(&cx))
         };
 
         // detlint::allow(D003, "wall-clock feeds the stderr ETA line only, never the collected results")

@@ -1,11 +1,10 @@
 //! Smoke coverage for the whole experiment suite.
 //!
-//! The registry makes the whole suite enumerable (26 paper experiments
-//! plus the scenario suite), so instead of running one representative
-//! binary and hoping the rest share enough machinery,
-//! this suite runs *every* registered experiment in-process under
-//! `--quick --threads 2` and checks the report invariants. Subprocess
-//! tests keep the binary stubs and the strict CLI honest.
+//! The registry makes the whole suite enumerable, so instead of running
+//! one representative experiment and hoping the rest share enough
+//! machinery, this suite runs *every* registered experiment in-process
+//! under `--quick --threads 2` and checks the report invariants.
+//! Subprocess tests keep `bench run` and the strict CLI honest.
 
 use bench::cli::Cli;
 use bench::{registry, REGISTRY};
@@ -58,36 +57,6 @@ fn every_registered_experiment_runs_quick() {
     }
 }
 
-/// Memoized reruns must present byte-identically to fresh runs: the
-/// report text and every JSON blob, not just headline numbers. Runs two
-/// cell-sharing experiments twice under the cache (second pass served
-/// from memo) and once without it, comparing all three.
-#[test]
-fn memoized_and_fresh_runs_are_byte_identical() {
-    let cli = quick_cli();
-    let names = ["fig04_sllm_capacity", "fig06_ttft_curves"];
-    let render = |name: &str| {
-        let report = registry::run_experiment(bench::find(name).expect("registered"), &cli);
-        let mut out = report.text().to_string();
-        for (blob_name, blob) in report.dumps() {
-            out.push_str(blob_name);
-            out.push_str(blob);
-        }
-        out
-    };
-    bench::memo::enable();
-    let first: Vec<String> = names.iter().map(|n| render(n)).collect();
-    let memoized: Vec<String> = names.iter().map(|n| render(n)).collect();
-    let served = bench::memo::hits();
-    bench::memo::disable();
-    let fresh: Vec<String> = names.iter().map(|n| render(n)).collect();
-    assert!(served > 0, "second pass must be served from the cell cache");
-    for ((a, b), c) in first.iter().zip(&memoized).zip(&fresh) {
-        assert_eq!(a, b, "memoized rerun diverged from the populating run");
-        assert_eq!(a, c, "cached output diverged from a fresh run");
-    }
-}
-
 /// Quick-mode fig04 sweeps two model counts; the blob mirrors that.
 #[test]
 fn fig04_quick_blob_has_one_entry_per_point() {
@@ -106,10 +75,10 @@ fn fig04_quick_blob_has_one_entry_per_point() {
     );
 }
 
-/// The binary stub wires argv → CLI → registry → stdout + results/ dump.
+/// `bench run` wires argv → CLI → registry → stdout + results/ dump.
 #[test]
 fn fig04_binary_runs_end_to_end() {
-    let exe = env!("CARGO_BIN_EXE_fig04_sllm_capacity");
+    let exe = env!("CARGO_BIN_EXE_bench");
     // Unique per process so concurrent `cargo test` runs don't race on it.
     let tmp = std::env::temp_dir().join(format!("slinfer-smoke-fig04-{}", std::process::id()));
     // Start from a clean scratch dir: the results dump is best-effort, so a
@@ -117,10 +86,18 @@ fn fig04_binary_runs_end_to_end() {
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("create smoke workdir");
     let out = Command::new(exe)
-        .args(["--seed", "7", "--quick", "--threads", "2"])
+        .args([
+            "run",
+            "fig04_sllm_capacity",
+            "--seed",
+            "7",
+            "--quick",
+            "--threads",
+            "2",
+        ])
         .current_dir(&tmp)
         .output()
-        .expect("figure binary must launch");
+        .expect("bench binary must launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -141,16 +118,16 @@ fn fig04_binary_runs_end_to_end() {
 /// `BENCH_QUICK=1` keeps working as a CI-compatible fallback for `--quick`.
 #[test]
 fn bench_quick_env_fallback_still_works() {
-    let exe = env!("CARGO_BIN_EXE_fig04_sllm_capacity");
+    let exe = env!("CARGO_BIN_EXE_bench");
     let tmp = std::env::temp_dir().join(format!("slinfer-smoke-env-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("create smoke workdir");
     let out = Command::new(exe)
-        .args(["--seed", "7"])
+        .args(["run", "fig04_sllm_capacity", "--seed", "7"])
         .env("BENCH_QUICK", "1")
         .current_dir(&tmp)
         .output()
-        .expect("figure binary must launch");
+        .expect("bench binary must launch");
     assert!(out.status.success());
     let blob = std::fs::read_to_string(tmp.join("results/fig04_sllm_capacity.json"))
         .expect("JSON results dumped");
@@ -165,9 +142,9 @@ fn bench_quick_env_fallback_still_works() {
 /// unified CLI must reject it loudly instead.
 #[test]
 fn malformed_seed_is_a_hard_error() {
-    let exe = env!("CARGO_BIN_EXE_fig04_sllm_capacity");
+    let exe = env!("CARGO_BIN_EXE_bench");
     let out = Command::new(exe)
-        .args(["--seed", "foo"])
+        .args(["run", "fig04_sllm_capacity", "--seed", "foo"])
         .output()
         .expect("binary must launch");
     assert_eq!(out.status.code(), Some(2), "bad CLI must exit 2");

@@ -291,15 +291,12 @@ mod tests {
         fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
             let slo = w.slo();
             let now = w.now();
-            for inst in w.instances_on_slot(node, slot) {
-                let Some(i) = w.instance(inst) else { continue };
-                if !i.has_work() {
-                    continue;
-                }
-                if let Some((_, kind)) = i.most_urgent(now, &slo) {
-                    let _ = w.start_iteration(inst, kind);
-                    return;
-                }
+            let next = w.slot_instances(node, slot).iter().find_map(|&inst| {
+                let i = w.instance(inst).filter(|i| i.has_work())?;
+                Some((inst, i.most_urgent(now, &slo)?.1))
+            });
+            if let Some((inst, kind)) = next {
+                let _ = w.start_iteration(inst, kind);
             }
         }
     }

@@ -113,9 +113,6 @@ pub struct UsageSample {
 }
 
 /// All measurements from one simulation run.
-///
-/// `Clone` so the bench harness can memoize identical sweep cells: a
-/// cached clone presents byte-identically to a fresh run.
 #[derive(Debug, Default, Clone)]
 pub struct RunMetrics {
     /// Per-request outcomes, indexed by `RequestId.0`.

@@ -669,37 +669,18 @@ impl World {
         self.instances.keys().cloned().collect()
     }
 
-    /// Instances hosted on `node`.
-    pub fn instances_on_node(&self, node: NodeId) -> Vec<InstanceId> {
-        self.node_instances(node).to_vec()
-    }
-
-    /// Borrowed view of the instances hosted on `node` (ascending ids) —
-    /// the allocation-free form of [`World::instances_on_node`].
+    /// Instances hosted on `node` (ascending ids).
     pub fn node_instances(&self, node: NodeId) -> &[InstanceId] {
         &self.index.by_node[node.0 as usize]
     }
 
-    /// Instances whose slot group includes `slot` (a tensor-parallel
-    /// instance appears on every slot it spans).
-    pub fn instances_on_slot(&self, node: NodeId, slot: usize) -> Vec<InstanceId> {
-        self.slot_instances(node, slot).to_vec()
-    }
-
-    /// Borrowed view of the instances on a slot (ascending ids) — the
-    /// allocation-free form of [`World::instances_on_slot`], for hot paths
-    /// that only inspect the list.
+    /// Instances whose slot group includes `slot` (ascending ids; a
+    /// tensor-parallel instance appears on every slot it spans).
     pub fn slot_instances(&self, node: NodeId, slot: usize) -> &[InstanceId] {
         &self.index.by_slot[node.0 as usize][slot]
     }
 
-    /// All instances of a model, across the cluster.
-    pub fn instances_of_model(&self, model: ModelId) -> Vec<InstanceId> {
-        self.model_instances(model).to_vec()
-    }
-
-    /// Borrowed view of a model's instances (ascending ids) — the
-    /// allocation-free form of [`World::instances_of_model`].
+    /// All instances of a model, across the cluster (ascending ids).
     pub fn model_instances(&self, model: ModelId) -> &[InstanceId] {
         &self.index.by_model[model.0 as usize]
     }
@@ -1793,7 +1774,7 @@ impl World {
                 n.loads.clear();
                 self.dir.clear_node(*node);
                 // Everything hosted is gone; salvage the request states.
-                let lost: Vec<InstanceId> = self.instances_on_node(*node);
+                let lost: Vec<InstanceId> = self.node_instances(*node).to_vec();
                 let now = self.clock;
                 let mut displaced = Vec::new();
                 for inst in lost {
@@ -1847,8 +1828,8 @@ impl World {
         }
         let now = self.clock;
         let mut displaced = Vec::new();
-        for inst in self.instances_on_node(node) {
-            // detlint::allow(D005, "instances_on_node reads the same map; nothing is removed between the index read and this fetch")
+        for inst in self.node_instances(node).to_vec() {
+            // detlint::allow(D005, "the ids were copied from this node's index; only already-visited instances are unloaded before this fetch")
             let h = self.instances.get_mut(&inst).expect("listed");
             if h.inst.busy || h.inst.scaling {
                 continue; // swept up when the iteration/rescale completes
@@ -2282,9 +2263,9 @@ mod tests {
             .create_instance(ModelId(1), NodeId(1), 0, GB)
             .expect("fits");
         assert_index_consistent(&w);
-        assert_eq!(w.instances_on_node(NodeId(0)), vec![a, b]);
-        assert_eq!(w.instances_on_slot(NodeId(0), 1), vec![a]);
-        assert_eq!(w.instances_of_model(ModelId(1)), vec![b, c]);
+        assert_eq!(w.node_instances(NodeId(0)), [a, b]);
+        assert_eq!(w.slot_instances(NodeId(0), 1), [a]);
+        assert_eq!(w.model_instances(ModelId(1)), [b, c]);
 
         w.unload_instance(b);
         assert_index_consistent(&w);
@@ -2292,7 +2273,7 @@ mod tests {
         // Node failure removes everything hosted in one sweep.
         w.apply_cluster_event(&ClusterEvent::NodeFail(NodeId(0)));
         assert_index_consistent(&w);
-        assert!(w.instances_on_node(NodeId(0)).is_empty());
+        assert!(w.node_instances(NodeId(0)).is_empty());
 
         // A joining node gets fresh (empty) lists and indexes new creates.
         w.apply_cluster_event(&ClusterEvent::NodeJoin(NodeSpec::multi_accel(
@@ -2304,8 +2285,8 @@ mod tests {
             .create_instance(ModelId(1), NodeId(2), 1, GB)
             .expect("fits");
         assert_index_consistent(&w);
-        assert_eq!(w.instances_on_slot(NodeId(2), 1), vec![d]);
-        assert_eq!(w.instances_of_model(ModelId(1)), vec![c, d]);
+        assert_eq!(w.slot_instances(NodeId(2), 1), [d]);
+        assert_eq!(w.model_instances(ModelId(1)), [c, d]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Policy for Minimal {
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         let model = rr.req.model;
         if !self.always_fresh {
-            if let Some(&inst) = w.instances_of_model(model).first() {
+            if let Some(&inst) = w.model_instances(model).first() {
                 w.admit(inst, rr);
                 return;
             }
@@ -45,7 +45,7 @@ impl Policy for Minimal {
                 continue;
             }
             let slot = (0..w.slot_count(node))
-                .min_by_key(|&s| w.instances_on_slot(node, s).len())
+                .min_by_key(|&s| w.slot_instances(node, s).len())
                 .expect("a slot");
             if let Ok(inst) = w.create_instance(model, node, slot, grant) {
                 w.admit(inst, rr);
@@ -58,15 +58,14 @@ impl Policy for Minimal {
     fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
         let now = w.now();
         let slo = w.slo();
-        for inst in w.instances_on_slot(node, slot) {
-            let Some(i) = w.instance(inst) else { continue };
-            if !i.has_work() || w.instance_group_busy(inst) {
-                continue;
-            }
-            if let Some((_, kind)) = i.most_urgent(now, &slo) {
-                let _ = w.start_iteration(inst, kind);
-                return;
-            }
+        let next = w.slot_instances(node, slot).iter().find_map(|&inst| {
+            let i = w
+                .instance(inst)
+                .filter(|i| i.has_work() && !w.instance_group_busy(inst))?;
+            Some((inst, i.most_urgent(now, &slo)?.1))
+        });
+        if let Some((inst, kind)) = next {
+            let _ = w.start_iteration(inst, kind);
         }
     }
 }

@@ -55,8 +55,8 @@ fn create_commits_and_unload_releases() {
         .expect("fits");
     let weights = ModelSpec::llama2_7b().weights_bytes();
     assert_eq!(w.node_available_bytes(NodeId(1)), before - weights - 4 * GB);
-    assert_eq!(w.instances_on_node(NodeId(1)), vec![inst]);
-    assert_eq!(w.instances_of_model(ModelId(0)), vec![inst]);
+    assert_eq!(w.node_instances(NodeId(1)), [inst]);
+    assert_eq!(w.model_instances(ModelId(0)), [inst]);
     assert_eq!(w.instance_placement(inst), Some((NodeId(1), 0)));
     // Unloading returns every committed byte.
     w.unload_instance(inst);
@@ -218,9 +218,9 @@ fn tp_groups_claim_and_release_slot_sets() {
     // Placement views: primary slot + full group, on every spanned slot.
     assert_eq!(w.instance_placement(tp2), Some((NodeId(0), 0)));
     assert_eq!(w.instance_slots(tp2), Some(&[0usize, 1][..]));
-    assert_eq!(w.instances_on_slot(NodeId(0), 0), vec![tp2]);
-    assert_eq!(w.instances_on_slot(NodeId(0), 1), vec![tp2]);
-    assert!(w.instances_on_slot(NodeId(0), 2).is_empty());
+    assert_eq!(w.slot_instances(NodeId(0), 0), [tp2]);
+    assert_eq!(w.slot_instances(NodeId(0), 1), [tp2]);
+    assert!(w.slot_instances(NodeId(0), 2).is_empty());
     assert!((w.instance_share(tp2) - 0.5).abs() < 1e-12);
     // One footprint on the node ledger, not one per slot.
     let weights = ModelSpec::llama2_13b().weights_bytes();

@@ -26,9 +26,9 @@ pub fn order_candidates(
     bin_pack: bool,
 ) -> Vec<InstanceId> {
     let mut out: Vec<(bool, i64, InstanceId)> = w
-        .instances_of_model(model)
-        .into_iter()
-        .map(|id| {
+        .model_instances(model)
+        .iter()
+        .map(|&id| {
             let (node, _) = w.instance_placement(id).expect("listed instance");
             let is_cpu = w.node_hw(node).kind.is_cpu();
             let batch = w.instance(id).map(|i| i.live_count() as i64).unwrap_or(0);
@@ -54,7 +54,7 @@ pub fn pick_victim(w: &World, target: InstanceId) -> Option<InstanceId> {
     let (node, _) = w.instance_placement(target)?;
     let target_batch = w.instance(target)?.live_count();
     let mut best: Option<(u32, InstanceId)> = None;
-    for id in w.instances_on_node(node) {
+    for &id in w.node_instances(node) {
         if id == target {
             continue;
         }

@@ -222,7 +222,8 @@ impl Slinfer {
     fn colocated(w: &World, node: NodeId, slots: &[usize]) -> Vec<InstanceId> {
         let mut ids: Vec<InstanceId> = slots
             .iter()
-            .flat_map(|&s| w.instances_on_slot(node, s))
+            .flat_map(|&s| w.slot_instances(node, s))
+            .copied()
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -619,7 +620,7 @@ impl Slinfer {
             if !self.node_allowed(w, node, model) {
                 continue;
             }
-            if !self.cfg.enable_sharing && !w.instances_on_node(node).is_empty() {
+            if !self.cfg.enable_sharing && !w.node_instances(node).is_empty() {
                 continue;
             }
             if !self.request_feasible_on(w, node, rr) {
@@ -839,7 +840,7 @@ impl Slinfer {
     fn shed_expired(&mut self, w: &mut World, node: NodeId, slot: usize) {
         let now = w.now();
         let mut expired: Vec<(InstanceId, RequestId)> = Vec::new();
-        for inst in w.instances_on_slot(node, slot) {
+        for &inst in w.slot_instances(node, slot) {
             let Some(i) = w.instance(inst) else { continue };
             if i.state != InstanceState::Active {
                 continue;
@@ -887,7 +888,7 @@ impl Policy for Slinfer {
                 return;
             }
             let mut best: Option<(f64, InstanceId, IterationKind)> = None;
-            for inst in w.instances_on_slot(node, slot) {
+            for &inst in w.slot_instances(node, slot) {
                 let Some(i) = w.instance(inst) else { continue };
                 if !i.has_work() {
                     continue;

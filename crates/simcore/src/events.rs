@@ -16,12 +16,11 @@
 //! timestamp, ties broken by insertion sequence number. The tie-break
 //! matters: two events scheduled for the same microsecond must always pop
 //! in the same order, or otherwise-identical runs with the same seed could
-//! diverge. [`HeapQueue`] is the original `BinaryHeap` implementation, kept
-//! as a shadow reference; the property suite drives both with the same
-//! push/pop stream and asserts bit-equal output.
+//! diverge. The property suite checks this against a `BinaryHeap`
+//! reference, driving both with the same push/pop stream and asserting
+//! bit-equal output.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -29,30 +28,6 @@ struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so earliest time (then lowest
-        // sequence number) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// Smallest ring size; also the initial size of an empty queue.
@@ -288,66 +263,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("buckets", &self.buckets.len())
             .field("width_us", &self.width)
             .finish()
-    }
-}
-
-/// The original `BinaryHeap`-backed queue, kept as a shadow reference.
-///
-/// Same contract as [`EventQueue`] — pops in `(time, seq)` order — with
-/// O(log n) push/pop. The property suite feeds identical push/pop streams
-/// to both implementations and asserts bit-equal output; any ordering
-/// drift in the calendar queue fails loudly there rather than as a silent
-/// golden diff three layers up.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -1,12 +1,80 @@
 //! Property-based tests for the simulation spine.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
 use simcore::dist::{discrete, exponential, gamma, lognormal, pareto, zipf_weights};
-use simcore::events::{EventQueue, HeapQueue};
+use simcore::events::EventQueue;
 use simcore::rng::SimRng;
 use simcore::stats::{Summary, TimeWeighted};
 use simcore::time::{SimDuration, SimTime};
+
+/// A `BinaryHeap`-backed event queue: the reference the calendar
+/// [`EventQueue`] is checked against.
+///
+/// Same contract — pops in `(time, seq)` order — with O(log n) push/pop.
+/// The shadow properties below feed identical push/pop streams to both
+/// and assert bit-equal output; any ordering drift in the calendar queue
+/// fails loudly here rather than as a silent golden diff three layers up.
+struct HeapQueue<E> {
+    heap: BinaryHeap<HeapEntry<E>>,
+    next_seq: u64,
+}
+
+struct HeapEntry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for HeapEntry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for HeapEntry<E> {}
+
+impl<E> PartialOrd for HeapEntry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for HeapEntry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so earliest time (then lowest
+        // sequence number) pops first.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(HeapEntry { at, seq, event });
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|e| (e.at, e.event))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 proptest! {
     #[test]

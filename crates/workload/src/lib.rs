@@ -24,7 +24,7 @@
 //!   [`request::SessionTag`] so schedulers can route turns back to the
 //!   instance holding the session's KV cache.
 //! - [`stats`] — trace characterization used by the Figure 21/12/34
-//!   experiment binaries.
+//!   experiments.
 //!
 //! # Example
 //!

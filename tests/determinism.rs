@@ -3,7 +3,7 @@
 //! `RunMetrics`; different seeds diverge; and the parallel sweep driver
 //! must return exactly what a serial run returns.
 //!
-//! This property is what makes every figure binary reproducible and is
+//! This property is what makes every experiment reproducible and is
 //! load-bearing for debugging: any failure here means nondeterministic
 //! iteration order (e.g. hashing) or clock leakage crept into the stack.
 //! (PR 2 caught exactly that: scale-op issue order leaked HashMap
@@ -384,7 +384,7 @@ fn scenario_sweep_parallel_equals_serial() {
 /// The (point × system × seed) grid of a small end-to-end sweep, run
 /// serially and on 4 workers: every cell must match bit-for-bit, in the
 /// same axis order. This is the property that makes `--threads N` safe for
-/// every figure binary.
+/// every experiment.
 #[test]
 fn parallel_sweep_equals_serial_bit_for_bit() {
     let build = || {
