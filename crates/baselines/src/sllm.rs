@@ -20,7 +20,6 @@ use std::collections::BTreeSet;
 use cluster::{NodeId, Policy, World};
 use engine::instance::{InstanceId, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
-use hwmodel::HardwareKind;
 use workload::request::{ModelId, RequestId};
 
 use crate::limits::concurrency_limit;
@@ -435,15 +434,6 @@ impl Sllm {
     /// True when this configuration may use CPU nodes.
     pub fn uses_cpu(&self) -> bool {
         self.cfg.use_cpu
-    }
-
-    /// Hardware kinds this policy will place instances on.
-    pub fn kinds(&self) -> Vec<HardwareKind> {
-        if self.cfg.use_cpu {
-            vec![HardwareKind::CpuAccel, HardwareKind::Gpu]
-        } else {
-            vec![HardwareKind::Gpu]
-        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Cross-node checkpoint distribution (λScale-style).
 //!
-//! PR 5's tiered store still prices every DRAM/SSD miss as a remote
-//! registry fetch, but in a real fleet the checkpoint is usually sitting
-//! in a *peer's* DRAM a fabric hop away. λScale (PAPERS.md) shows the
+//! The tiered store ([`crate::checkpoint`]) alone prices every DRAM/SSD
+//! miss as a remote registry fetch, but in a real fleet the checkpoint is
+//! usually sitting in a *peer's* DRAM a fabric hop away. λScale (PAPERS.md) shows the
 //! dominant cold-start win is exactly that peer fetch, plus multicasting
 //! the checkpoint along a dynamically built tree during scale-out bursts
 //! — interior nodes of the tree begin serving (and relaying) while their
@@ -15,20 +15,22 @@
 //!
 //! Three pieces live here:
 //!
-//! - [`DistConfig`] — the run-level knobs. The default ([`DistConfig::off`])
+//! - [`DistConfig`] — how far distribution goes. The default ([`DistConfig::off`])
 //!   disables everything and replays pre-distribution runs **byte for
-//!   byte**; [`DistConfig::full`] turns on peer fetch, multicast relays,
-//!   and cache-aware eviction together.
+//!   byte**; [`DistConfig::peer`] streams cold starts from peers' caches;
+//!   [`DistConfig::full`] adds multicast relays and cache-aware eviction.
 //! - [`CheckpointDirectory`] — fleet-wide replica locations per tier:
 //!   which nodes hold which checkpoints, and whether each copy is ready
 //!   or still arriving (an in-flight transfer that multicast relays may
 //!   attach to). Maintained by [`crate::World`] alongside each node's
 //!   [`crate::CheckpointStore`]; all state is ordered (BTree) so lookups
 //!   are deterministic.
-//! - [`TransferPlan`] — the priced decision for one cold start: serve
-//!   from the local hierarchy, or stream from a peer (possibly a relay).
-//!   [`crate::World::estimate_load_s`] and the create path share the same
-//!   planner, so startup-time-estimated placement sees the fabric.
+//! - [`TransferPlan`] — the priced choice of a peer to stream one
+//!   checkpoint from (possibly a relay). [`crate::World`] searches the
+//!   directory for it in one place, which serves
+//!   [`crate::World::estimate_load_s`], the create path and the reroute of
+//!   a transfer whose source failed, so startup-time-estimated placement
+//!   sees the fabric exactly as the transfers use it.
 //!
 //! # Example
 //!
@@ -46,11 +48,11 @@
 //!     dist: DistConfig::full(),
 //!     ..WorldConfig::default()
 //! };
-//! assert!(cfg.dist.peer_fetch && cfg.dist.multicast && cfg.dist.cache_aware);
+//! assert!(cfg.dist.enabled() && cfg.dist.multicast() && cfg.dist.cache_aware());
 //!
 //! // Peer fetch alone (no relay trees, plain LRU eviction).
 //! let peer_only = DistConfig::peer();
-//! assert!(peer_only.fetch_enabled() && !peer_only.multicast);
+//! assert!(peer_only.enabled() && !peer_only.multicast());
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -60,28 +62,26 @@ use workload::request::ModelId;
 
 use crate::node::NodeId;
 
-/// Run-level configuration of cross-node checkpoint distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How many keep-alive periods the last warm copy of a model may defer
+/// its unload under cache-aware keep-alive ([`DistConfig::full`]). The
+/// bound lets an idle fleet still converge to empty.
+pub(crate) const KEEPALIVE_DEFER_MAX: u32 = 3;
+
+/// How far cross-node distribution goes; each level includes the last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Level {
+    #[default]
+    Off,
+    Peer,
+    Full,
+}
+
+/// Run-level configuration of cross-node checkpoint distribution: one of
+/// [`DistConfig::off`] (the default), [`DistConfig::peer`] or
+/// [`DistConfig::full`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistConfig {
-    /// Allow cold starts to stream the checkpoint from a peer node's
-    /// cache over the fabric when that beats the local hierarchy. The
-    /// transfer contends on the *source* node's loading channel, sharing
-    /// bandwidth with the source's own cold starts.
-    pub peer_fetch: bool,
-    /// Allow transfers to attach to a peer whose own copy is still
-    /// *arriving* (a relay): k simultaneous creates of one model form a
-    /// λScale-style dissemination tree whose interior nodes serve
-    /// mid-transfer. Implies peer sourcing for the relayed hops.
-    pub multicast: bool,
-    /// Make eviction cache-aware: DRAM demotion victims are scored by
-    /// (re-load tier if evicted, fleet replica count) instead of bare
-    /// LRU, and keep-alive defers unloading the last warm copy of a
-    /// checkpoint in the fleet.
-    pub cache_aware: bool,
-    /// How many keep-alive periods the last warm copy of a model may
-    /// defer its unload (bounds the cache-aware keep-alive so an idle
-    /// fleet still converges to empty). Only read when `cache_aware`.
-    pub keepalive_defer_max: u32,
+    level: Level,
 }
 
 impl DistConfig {
@@ -89,47 +89,44 @@ impl DistConfig {
     /// runs byte-identically: no directory is maintained, no planner
     /// runs, no extra RNG draws happen.
     pub fn off() -> Self {
-        DistConfig {
-            peer_fetch: false,
-            multicast: false,
-            cache_aware: false,
-            keepalive_defer_max: 0,
-        }
+        DistConfig { level: Level::Off }
     }
 
-    /// Peer-to-peer fetch only: no relay trees, plain LRU eviction.
+    /// Peer-to-peer fetch only: a cold start streams the checkpoint from
+    /// a peer node's cache over the fabric when that beats the local
+    /// hierarchy. The transfer contends on the *source* node's loading
+    /// channel, sharing bandwidth with the source's own cold starts. No
+    /// relay trees, plain LRU eviction.
     pub fn peer() -> Self {
-        DistConfig {
-            peer_fetch: true,
-            ..DistConfig::off()
-        }
+        DistConfig { level: Level::Peer }
     }
 
-    /// Everything on: peer fetch, multicast relays, cache-aware
-    /// keep-alive/demotion (up to 3 deferred keep-alive periods).
+    /// Everything on: peer fetch, multicast relays and cache-aware
+    /// keep-alive/demotion (see [`DistConfig::multicast`] and
+    /// [`DistConfig::cache_aware`]).
     pub fn full() -> Self {
-        DistConfig {
-            peer_fetch: true,
-            multicast: true,
-            cache_aware: true,
-            keepalive_defer_max: 3,
-        }
+        DistConfig { level: Level::Full }
     }
 
-    /// Any feature on (the world maintains the directory at all).
+    /// Peer fetch on: the world maintains the directory and the transfer
+    /// planner runs.
     pub fn enabled(&self) -> bool {
-        self.peer_fetch || self.multicast || self.cache_aware
+        self.level != Level::Off
     }
 
-    /// Peer sourcing on (the transfer planner runs at all).
-    pub fn fetch_enabled(&self) -> bool {
-        self.peer_fetch || self.multicast
+    /// Transfers may attach to a peer whose own copy is still *arriving*
+    /// (a relay): k simultaneous creates of one model form a λScale-style
+    /// dissemination tree whose interior nodes serve mid-transfer.
+    pub fn multicast(&self) -> bool {
+        self.level == Level::Full
     }
-}
 
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig::off()
+    /// Eviction is cache-aware: DRAM demotion victims are scored by
+    /// (re-load tier if evicted, fleet replica count) instead of bare LRU,
+    /// and keep-alive defers unloading the last warm copy of a checkpoint
+    /// in the fleet, up to three times.
+    pub fn cache_aware(&self) -> bool {
+        self.level == Level::Full
     }
 }
 
@@ -230,58 +227,23 @@ impl CheckpointDirectory {
             .filter(|(&(m, node), _)| node != exclude && !self.arriving.contains(&(m, node)))
             .count()
     }
-
-    /// Whether `model` has a ready SSD-or-warmer copy on `node`.
-    pub fn holds(&self, model: ModelId, node: NodeId) -> bool {
-        self.tiers.contains_key(&(model, node)) && !self.arriving.contains(&(model, node))
-    }
 }
 
-/// Where one planned transfer sources its bytes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TransferSource {
-    /// Serve from the destination's own hierarchy (the PR 5 path).
-    Local(CheckpointTier),
-    /// Stream from a peer's cache over the fabric, contending on the
-    /// source node's loading channel.
-    Peer {
-        /// Source node.
-        node: NodeId,
-        /// True when the source's own copy is still arriving — this hop
-        /// is a multicast relay and must wait out the tail of its
-        /// parent's transfer.
-        relay: bool,
-    },
-}
-
-/// The priced decision for one cold-start transfer.
+/// The priced choice of one fabric transfer's source.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferPlan {
-    /// Chosen source.
-    pub source: TransferSource,
+    /// Source node; the transfer contends on its loading channel.
+    pub src: NodeId,
+    /// True when the source's own copy is still arriving — this hop is a
+    /// multicast relay and must wait out the tail of its parent's
+    /// transfer.
+    pub relay: bool,
     /// Uncontended seconds of work the transfer will occupy its loading
     /// channel with (what the in-flight load is priced from).
     pub work_s: f64,
     /// Estimated completion seconds including present channel contention
     /// (what placement scoring compares).
     pub est_s: f64,
-}
-
-/// Number of dissemination rounds a binomial multicast tree needs to
-/// reach `replicas` copies from one seed: each round every holder streams
-/// to one new node, doubling coverage — `ceil(log2(replicas + 1))`.
-///
-/// The simulator never schedules rounds explicitly (trees emerge from
-/// per-transfer source selection under channel contention); this is the
-/// analytic yardstick the `scale_burst` experiment reports against.
-pub fn binomial_rounds(replicas: usize) -> u32 {
-    let mut rounds = 0u32;
-    let mut covered = 1usize;
-    while covered < replicas + 1 {
-        covered *= 2;
-        rounds += 1;
-    }
-    rounds
 }
 
 #[cfg(test)]
@@ -292,10 +254,17 @@ mod tests {
     fn off_is_default_and_fully_disabled() {
         assert_eq!(DistConfig::default(), DistConfig::off());
         assert!(!DistConfig::off().enabled());
-        assert!(DistConfig::peer().enabled() && DistConfig::peer().fetch_enabled());
-        assert!(!DistConfig::peer().cache_aware);
+        let peer = DistConfig::peer();
+        assert!(peer.enabled() && !peer.multicast() && !peer.cache_aware());
         let full = DistConfig::full();
-        assert!(full.enabled() && full.fetch_enabled() && full.cache_aware);
+        assert!(full.enabled() && full.multicast() && full.cache_aware());
+    }
+
+    /// Whether `dir` lists a ready copy of `model` on `node`.
+    fn ready_on(dir: &CheckpointDirectory, model: ModelId, node: NodeId) -> bool {
+        dir.replicas(model)
+            .iter()
+            .any(|r| r.node == node && r.state == ReplicaState::Ready)
     }
 
     #[test]
@@ -308,23 +277,23 @@ mod tests {
         assert_eq!(reps.len(), 2);
         assert_eq!(reps[0].tier, CheckpointTier::Dram);
         assert_eq!(reps[1].tier, CheckpointTier::Ssd);
-        assert!(dir.holds(m, a) && dir.holds(m, b));
+        assert!(ready_on(&dir, m, a) && ready_on(&dir, m, b));
         assert_eq!(dir.ready_replicas_elsewhere(m, a), 1);
 
         // An arriving copy is tracked but not ready.
         let c = NodeId(2);
         dir.refresh_node(c, &[m], &[]);
         dir.mark_arriving(m, c);
-        assert!(!dir.holds(m, c));
+        assert!(!ready_on(&dir, m, c));
         assert_eq!(dir.ready_replicas_elsewhere(m, a), 1);
         let state = dir.replicas(m).last().unwrap().state;
         assert_eq!(state, ReplicaState::Arriving);
         dir.mark_ready(m, c);
-        assert!(dir.holds(m, c));
+        assert!(ready_on(&dir, m, c));
 
         // Refresh replaces exactly one node's entries.
         dir.refresh_node(a, &[], &[]);
-        assert!(!dir.holds(m, a) && dir.holds(m, b) && dir.holds(m, c));
+        assert!(!ready_on(&dir, m, a) && ready_on(&dir, m, b) && ready_on(&dir, m, c));
 
         // NodeFail drops ready and arriving alike.
         dir.mark_arriving(m, c);
@@ -340,14 +309,5 @@ mod tests {
         assert_eq!(dir.replicas(ModelId(1)).len(), 1);
         assert_eq!(dir.replicas(ModelId(2)).len(), 1);
         assert!(dir.replicas(ModelId(3)).is_empty());
-    }
-
-    #[test]
-    fn binomial_rounds_doubles_coverage() {
-        assert_eq!(binomial_rounds(0), 0);
-        assert_eq!(binomial_rounds(1), 1);
-        assert_eq!(binomial_rounds(3), 2);
-        assert_eq!(binomial_rounds(7), 3);
-        assert_eq!(binomial_rounds(8), 4);
     }
 }

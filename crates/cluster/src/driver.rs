@@ -17,13 +17,17 @@
 use engine::instance::IterationKind;
 use engine::request::RunningRequest;
 use hwmodel::ModelSpec;
-use simcore::time::SimTime;
+use simcore::time::{SimDuration, SimTime};
 use workload::request::Trace;
 
 use crate::metrics::RunMetrics;
 use crate::node::ClusterSpec;
 use crate::policy::Policy;
 use crate::world::{ClusterEvent, Event, World, WorldConfig};
+
+/// Extra simulated time allowed after the last arrival before the run is
+/// force-terminated and unresolved requests are dropped.
+const DRAIN_GRACE: SimDuration = SimDuration::from_secs(900);
 
 /// A policy bound to a world, ready to replay a trace.
 pub struct Simulation<P: Policy> {
@@ -68,7 +72,7 @@ impl<P: Policy> Simulation<P> {
             .last()
             .map(|r| r.arrival)
             .unwrap_or(SimTime::ZERO);
-        let hard_stop = last_arrival + w.cfg.drain_grace;
+        let hard_stop = last_arrival + DRAIN_GRACE;
         let mut arrivals_left = trace.len();
 
         while let Some((t, ev)) = self.world.events.pop() {

@@ -8,9 +8,9 @@
 //!   (full-node for SLINFER and the exclusive baselines; two half-node slots
 //!   for `sllm+c+s` static sharing) and a physical memory ledger.
 //! - [`checkpoint`] — [`CheckpointConfig`]/[`CheckpointStore`]: the
-//!   per-node tiered checkpoint cache (HBM/DRAM/SSD/remote) behind
-//!   locality-aware cold starts; the default configuration reproduces the
-//!   flat legacy loader bit for bit.
+//!   per-node tiered checkpoint cache (HBM/DRAM/SSD/remote) and the shared
+//!   loading channel behind locality-aware cold starts; the default
+//!   configuration reproduces the flat legacy loader bit for bit.
 //! - [`world`] — [`World`]: the live cluster state (instances, committed
 //!   memory, clock, RNG, event queue) and the *only* API policies may use to
 //!   act: admit requests, start iterations, create/unload instances, issue
@@ -46,7 +46,7 @@ pub mod sessions;
 pub mod world;
 
 pub use checkpoint::{CheckpointConfig, CheckpointStore};
-pub use dist::{CheckpointDirectory, DistConfig, TransferPlan, TransferSource};
+pub use dist::{CheckpointDirectory, DistConfig, TransferPlan};
 pub use driver::Simulation;
 pub use hwmodel::CheckpointTier;
 pub use metrics::{RequestRecord, RunMetrics};

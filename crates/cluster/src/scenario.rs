@@ -108,8 +108,9 @@ impl Scenario {
     }
 
     /// Sets the checkpoint storage hierarchy (shorthand for patching the
-    /// config): per-node DRAM/SSD cache capacities, loading contention,
-    /// HBM hits. The default is the flat legacy loader.
+    /// config): per-node DRAM/SSD cache capacities; a bounded DRAM tier
+    /// also brings loading contention and HBM hits. The default is the
+    /// flat legacy loader.
     pub fn checkpoints(mut self, ckpt: crate::checkpoint::CheckpointConfig) -> Self {
         self.cfg.checkpoints = ckpt;
         self

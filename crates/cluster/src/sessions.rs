@@ -12,12 +12,12 @@
 //!   KV already sits and its prefill computes only the uncached tail.
 //! - **Elasticity** — the home declines when it is gone (keep-alive unload,
 //!   drain, node failure), on an unschedulable node, or already loaded past
-//!   the stickiness-scaled in-flight cap; the turn then falls back to the
-//!   normal placement path.
-//! - **Migration** — an off-home turn can still skip recompute by shipping
-//!   the parked KV over the node fabric ([`SessionConfig::migrate_kv`]),
-//!   paying `tokens · C / kv_transfer_gbps` of transfer delay instead of
-//!   the prefill tail (`RunMetrics::kv_migration_bytes` accounts it).
+//!   the stickiness-scaled in-flight cap (`stickiness × 16`); the turn
+//!   then falls back to the normal placement path.
+//! - **Migration** — an off-home turn still skips recompute by shipping the
+//!   parked KV over the node fabric, paying `tokens · C / 12.5 GB/s` of
+//!   transfer delay instead of the prefill tail
+//!   (`RunMetrics::kv_migration_bytes` accounts it).
 //!
 //! [`SessionConfig::off`] — the default — disables everything and replays
 //! sessionless runs byte-for-byte: no entry is ever parked, no RNG draw is
@@ -26,36 +26,31 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The in-flight request cap a follow-up turn's home instance may carry
+/// at full stickiness; `SessionConfig::stickiness` scales it.
+pub(crate) const AFFINITY_MAX_INFLIGHT: u32 = 16;
+
 /// Session prefix-reuse knobs. See the module docs for the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SessionConfig {
-    /// Master switch: park finished session turns' KV and route follow-up
-    /// turns by affinity. Off replays sessionless behavior bit-for-bit.
+    /// Master switch: park finished session turns' KV, route follow-up
+    /// turns by affinity, and migrate the parked KV of a turn that lands
+    /// off-home instead of recomputing its prefix. Off replays sessionless
+    /// behavior bit-for-bit.
     pub enabled: bool,
     /// Affinity strength in `[0, 1]`: a follow-up turn sticks to its home
     /// instance only while the home's in-flight request count is below
-    /// `stickiness · affinity_max_inflight` (at least 1 when positive).
-    /// `0.0` never sticks — every turn takes the normal placement path;
-    /// `1.0` sticks up to the full cap. Deterministic by construction (a
-    /// load threshold, not a coin flip).
+    /// `stickiness × 16` (at least 1 when positive). `0.0` never sticks —
+    /// every turn takes the normal placement path; `1.0` sticks up to the
+    /// full cap. Deterministic by construction (a load threshold, not a
+    /// coin flip).
     pub stickiness: f64,
-    /// In-flight cap scaled by `stickiness` above.
-    pub affinity_max_inflight: u32,
-    /// When a follow-up turn lands off-home anyway, ship the parked KV over
-    /// the fabric (priced at `WorldConfig::kv_transfer_gbps`) instead of
-    /// recomputing the prefix. Off: off-home turns re-prefill from scratch.
-    pub migrate_kv: bool,
 }
 
 impl SessionConfig {
     /// Sessions disabled (the default): byte-identical to pre-session runs.
     pub fn off() -> Self {
-        SessionConfig {
-            enabled: false,
-            stickiness: 0.0,
-            affinity_max_inflight: 16,
-            migrate_kv: false,
-        }
+        SessionConfig::default()
     }
 
     /// Prefix reuse with the given stickiness and KV migration on — the
@@ -64,15 +59,7 @@ impl SessionConfig {
         SessionConfig {
             enabled: true,
             stickiness,
-            affinity_max_inflight: 16,
-            migrate_kv: true,
         }
-    }
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig::off()
     }
 }
 
@@ -84,13 +71,12 @@ mod tests {
     fn off_is_default_and_inert() {
         assert_eq!(SessionConfig::default(), SessionConfig::off());
         assert!(!SessionConfig::off().enabled);
-        assert!(!SessionConfig::off().migrate_kv);
     }
 
     #[test]
     fn reuse_enables_migration() {
         let c = SessionConfig::reuse(0.5);
-        assert!(c.enabled && c.migrate_kv);
+        assert!(c.enabled);
         assert_eq!(c.stickiness, 0.5);
     }
 }

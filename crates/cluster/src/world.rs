@@ -27,12 +27,19 @@ use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 use workload::request::{ModelId, RequestId, Slo};
 
-use crate::checkpoint::{CheckpointConfig, CheckpointStore};
-use crate::dist::{CheckpointDirectory, DistConfig, ReplicaState, TransferPlan, TransferSource};
+use crate::checkpoint::{CheckpointConfig, CheckpointStore, LoadChannel};
+use crate::dist::{
+    CheckpointDirectory, DistConfig, ReplicaState, TransferPlan, KEEPALIVE_DEFER_MAX,
+};
 use crate::metrics::RunMetrics;
 use crate::node::{ClusterSpec, NodeId, NodeSpec};
-use crate::sessions::SessionConfig;
+use crate::sessions::{SessionConfig, AFFINITY_MAX_INFLIGHT};
 use workload::request::{Request, SloClass};
+
+/// Cross-node KV transfer bandwidth, GB/s (§IX-G uses 100 Gbps ⇒
+/// 12.5 GB/s). Prices PD disaggregation's KV handoff and session KV
+/// migration.
+const KV_TRANSFER_GBPS: f64 = 12.5;
 
 /// Tunable run parameters shared by every policy.
 #[derive(Debug, Clone)]
@@ -51,12 +58,6 @@ pub struct WorldConfig {
     pub seed: u64,
     /// Occupancy sampling period.
     pub sample_period: SimDuration,
-    /// Extra simulated time allowed after the last arrival before the run
-    /// is force-terminated and unresolved requests are dropped.
-    pub drain_grace: SimDuration,
-    /// Cross-node KV transfer bandwidth for PD disaggregation, GB/s
-    /// (§IX-G uses 100 Gbps ⇒ 12.5 GB/s).
-    pub kv_transfer_gbps: f64,
     /// The checkpoint storage hierarchy (per-node DRAM/SSD caches, loading
     /// contention, HBM hits). The default, [`CheckpointConfig::flat`],
     /// reproduces the legacy flat loader bit for bit.
@@ -95,8 +96,6 @@ impl Default for WorldConfig {
             noise: NoiseModel::default(),
             seed: 0,
             sample_period: SimDuration::from_secs(1),
-            drain_grace: SimDuration::from_secs(900),
-            kv_transfer_gbps: 12.5,
             checkpoints: CheckpointConfig::flat(),
             usage_sample_stride: 1,
             dist: DistConfig::off(),
@@ -206,8 +205,8 @@ pub(crate) enum Event {
         elapsed: SimDuration,
     },
     /// A cold-start load completes. `epoch` is 0 for fixed-duration
-    /// (uncontended) loads; contended loads are rescheduled whenever the
-    /// node's loading channel changes membership, and only the event
+    /// (uncontended) loads; contended loads are rescheduled by their
+    /// `LoadChannel` whenever it changes membership, and only the event
     /// matching the channel's current epoch is live — stale ones are
     /// skipped by [`World::resolve_load_done`].
     LoadDone {
@@ -232,21 +231,6 @@ pub(crate) enum Event {
     Cluster(ClusterEvent),
 }
 
-/// One in-flight cold start on a node's shared loading channel.
-#[derive(Debug, Clone)]
-struct ActiveLoad {
-    /// Seconds of work remaining at the load's *uncontended* tier
-    /// bandwidth (noise already folded in); the channel divides progress
-    /// by the number of concurrent loads.
-    remaining_s: f64,
-    /// The load's original uncontended work, seconds. `remaining_s /
-    /// work_s` is the fraction still to transfer — what a mid-flight
-    /// reroute re-prices from a new source after its peer died.
-    work_s: f64,
-    /// When the load began (completion reports `now - started`).
-    started: SimTime,
-}
-
 struct NodeState {
     hw: HardwareSpec,
     slot_shares: Vec<f64>,
@@ -255,13 +239,8 @@ struct NodeState {
     health: NodeHealth,
     /// Tiered checkpoint cache (DRAM/SSD LRU state machine).
     store: CheckpointStore,
-    /// In-flight contended loads sharing this node's loading channel.
-    loads: BTreeMap<InstanceId, ActiveLoad>,
-    /// Last time `loads` progress was settled.
-    loads_settled_at: SimTime,
-    /// Bumped on every channel-membership change; live `LoadDone` events
-    /// carry the current value.
-    load_epoch: u64,
+    /// Contended cold starts sharing this node's loading channel.
+    channel: LoadChannel,
 }
 
 impl NodeState {
@@ -273,9 +252,7 @@ impl NodeState {
             committed: 0,
             health: NodeHealth::Up,
             store: CheckpointStore::new(),
-            loads: BTreeMap::new(),
-            loads_settled_at: SimTime::ZERO,
-            load_epoch: 0,
+            channel: LoadChannel::default(),
         }
     }
 }
@@ -303,7 +280,7 @@ pub struct Hosted {
     pub fabric: bool,
     /// Keep-alive periods this instance has already deferred because it
     /// held the fleet's last warm copy of its checkpoint (cache-aware
-    /// keep-alive; bounded by `DistConfig::keepalive_defer_max`).
+    /// keep-alive; at most three).
     pub keepalive_defers: u32,
 }
 
@@ -312,6 +289,12 @@ impl Hosted {
     /// legacy queries use.
     pub fn slot(&self) -> usize {
         self.slots[0]
+    }
+
+    /// The node whose loading channel the cold start runs on: the source
+    /// of a peer fetch, else the instance's own node.
+    fn channel_node(&self) -> NodeId {
+        self.load_channel.unwrap_or(self.node)
     }
 }
 
@@ -725,12 +708,12 @@ impl World {
     }
 
     /// True when a cold start of `model` on `node` would be served from
-    /// HBM: the config enables HBM hits and an *active* instance of the
-    /// model already holds the weights in serving memory (a loading
-    /// neighbour's weights are not there yet). The estimate path and the
-    /// actual load must agree on this predicate, so both use it.
+    /// HBM: the hierarchy is tiered and an *active* instance of the model
+    /// already holds the weights in serving memory (a loading neighbour's
+    /// weights are not there yet). The estimate path and the actual load
+    /// must agree on this predicate, so both use it.
     fn hbm_resident(&self, model: ModelId, node: NodeId) -> bool {
-        self.cfg.checkpoints.hbm_hits
+        self.cfg.checkpoints.is_tiered()
             && self.index.by_node[node.0 as usize].iter().any(|id| {
                 let h = &self.instances[id];
                 h.inst.model == model && h.inst.state == InstanceState::Active
@@ -738,8 +721,8 @@ impl World {
     }
 
     /// The warmest checkpoint tier holding `model` on `node`: HBM when an
-    /// active instance of the model is co-resident (and the config enables
-    /// HBM hits), else whatever the node's DRAM/SSD cache state says.
+    /// active instance of the model is co-resident (and the hierarchy is
+    /// tiered), else whatever the node's DRAM/SSD cache state says.
     /// Read-only — recency is untouched, so estimates never perturb runs.
     pub fn checkpoint_tier(&self, model: ModelId, node: NodeId) -> CheckpointTier {
         if self.hbm_resident(model, node) {
@@ -763,7 +746,18 @@ impl World {
 
     /// Cold starts currently sharing `node`'s loading channel.
     pub fn loads_in_flight(&self, node: NodeId) -> usize {
-        self.nodes[node.0 as usize].loads.len()
+        self.nodes[node.0 as usize].channel.len()
+    }
+
+    /// Loads a new cold start on `node`'s channel would share it with,
+    /// itself included — 1 under the flat loader, which never contends.
+    /// Every load-time estimate prices contention with this.
+    fn contenders(&self, node: NodeId) -> u32 {
+        if self.cfg.checkpoints.is_tiered() {
+            self.loads_in_flight(node) as u32 + 1
+        } else {
+            1
+        }
     }
 
     /// Cold-start duration estimate for a model on a node: ServerlessLLM's
@@ -777,100 +771,87 @@ impl World {
     /// the peer estimate is returned — so startup-time-estimated placement
     /// (SLINFER and both baselines) sees the fabric.
     pub fn estimate_load_s(&self, model: ModelId, node: NodeId) -> f64 {
-        let local = self.local_estimate_load_s(model, node);
-        if !self.cfg.dist.fetch_enabled() {
-            return local;
-        }
         match self.plan_transfer(model, node) {
             Some(plan) => plan.est_s,
-            None => local,
+            None => self.local_estimate_load_s(model, node),
         }
     }
 
-    /// The PR 5 local-hierarchy estimate (warmest local tier, destination
+    /// The local-hierarchy estimate (warmest local tier, destination
     /// channel share) — the dist-off `estimate_load_s`, and the bar a peer
     /// transfer has to beat.
     fn local_estimate_load_s(&self, model: ModelId, node: NodeId) -> f64 {
         let tier = self.checkpoint_tier(model, node);
-        let concurrent = if self.cfg.checkpoints.contention && tier != CheckpointTier::Hbm {
-            self.nodes[node.0 as usize].loads.len() as u32 + 1
-        } else {
+        // An HBM hit copies co-resident weights, off the loading channel.
+        let concurrent = if tier == CheckpointTier::Hbm {
             1
+        } else {
+            self.contenders(node)
         };
         self.perf
             .load_time(self.model_spec(model), self.node_hw(node), tier, concurrent)
     }
 
     /// Plans the cheapest peer transfer of `model` to `dest`, or `None`
-    /// when the local hierarchy wins (or no usable replica exists). Shared
-    /// by [`World::estimate_load_s`] and the create path, so estimates and
-    /// actual transfers always agree on the source. Deterministic: replicas
-    /// are scanned in node order and ties break toward the lower node id;
-    /// no RNG is consulted.
+    /// when distribution is off, no usable replica exists, or the local
+    /// hierarchy wins. Shared by [`World::estimate_load_s`] and the create
+    /// path, so estimates and actual transfers always agree on the source.
     fn plan_transfer(&self, model: ModelId, dest: NodeId) -> Option<TransferPlan> {
-        let dist = self.cfg.dist;
-        if !dist.fetch_enabled() {
+        if !self.cfg.dist.enabled() {
             return None;
         }
-        let bytes = self.model_spec(model).weights_bytes();
+        let bytes = self.model_spec(model).weights_bytes() as f64;
+        let plan = self.cheapest_peer(model, dest, bytes, self.cfg.dist.multicast())?;
+        (plan.est_s < self.local_estimate_load_s(model, dest)).then_some(plan)
+    }
+
+    /// The cheapest fabric source for `bytes` of `model`'s checkpoint into
+    /// `dest`: a ready replica on another schedulable node or, with
+    /// `relays`, a copy still arriving there. The transfer joins the
+    /// source's loading channel, so its estimate is the hop time scaled by
+    /// that channel's contention. The one peer search behind planning and
+    /// rerouting. Deterministic: replicas are scanned in node order, ties
+    /// break toward the lower node id, and no RNG is consulted.
+    fn cheapest_peer(
+        &self,
+        model: ModelId,
+        dest: NodeId,
+        bytes: f64,
+        relays: bool,
+    ) -> Option<TransferPlan> {
         let dest_hw = self.node_hw(dest);
         let mut best: Option<TransferPlan> = None;
         for rep in self.dir.replicas(model) {
-            if rep.node == dest || !self.node_schedulable(rep.node) {
-                continue;
-            }
             let relay = rep.state == ReplicaState::Arriving;
-            if relay && !dist.multicast {
+            if rep.node == dest || !self.node_schedulable(rep.node) || (relay && !relays) {
                 continue;
             }
-            let src_hw = self.node_hw(rep.node);
             // A fabric stream is bounded by the receiver's fabric port and
             // the source's tier read path.
-            let rate = dest_hw.fabric_bw_gbps.min(src_hw.tier_bw_gbps(rep.tier));
+            let rate = dest_hw
+                .fabric_bw_gbps
+                .min(self.node_hw(rep.node).tier_bw_gbps(rep.tier));
             if rate <= 0.0 {
                 continue;
             }
-            let mut work = bytes as f64 / (rate * 1e9);
+            let mut work = bytes / (rate * 1e9);
             if relay {
                 // A relay pipelines behind its parent's inbound stream: the
                 // hop cannot finish before the parent's own tail arrives.
                 work = work.max(self.inbound_remaining_s(model, rep.node));
             }
             work += dest_hw.fabric_latency_s;
-            // The transfer joins the *source's* loading channel.
-            let k = if self.cfg.checkpoints.contention {
-                self.nodes[rep.node.0 as usize].loads.len() as f64 + 1.0
-            } else {
-                1.0
-            };
-            let est = work * k;
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let b_node = match b.source {
-                        TransferSource::Peer { node, .. } => node,
-                        TransferSource::Local(_) => unreachable!("planner only picks peers"),
-                    };
-                    (est, rep.node) < (b.est_s, b_node)
-                }
-            };
-            if better {
+            let est = work * self.contenders(rep.node) as f64;
+            if best.is_none_or(|b| (est, rep.node) < (b.est_s, b.src)) {
                 best = Some(TransferPlan {
-                    source: TransferSource::Peer {
-                        node: rep.node,
-                        relay,
-                    },
+                    src: rep.node,
+                    relay,
                     work_s: work,
                     est_s: est,
                 });
             }
         }
-        let plan = best?;
-        if plan.est_s < self.local_estimate_load_s(model, dest) {
-            Some(plan)
-        } else {
-            None
-        }
+        best
     }
 
     /// Settled seconds remaining on the in-flight load bringing `model`
@@ -884,12 +865,9 @@ impl World {
             if h.node != holder || h.inst.state != InstanceState::Loading {
                 continue;
             }
-            let ch = h.load_channel.unwrap_or(h.node).0 as usize;
-            let n = &self.nodes[ch];
-            if let Some(l) = n.loads.get(&id) {
-                let k = n.loads.len() as f64;
-                let elapsed = self.clock.since(n.loads_settled_at).as_secs_f64();
-                worst = worst.max((l.remaining_s - elapsed / k).max(0.0));
+            let channel = &self.nodes[h.channel_node().0 as usize].channel;
+            if let Some(left) = channel.remaining_s(id, self.clock) {
+                worst = worst.max(left);
             }
         }
         worst
@@ -918,146 +896,55 @@ impl World {
             .collect()
     }
 
-    /// Re-syncs the directory's view of `node` from its store (call after
-    /// any store mutation while distribution is enabled).
-    fn refresh_directory(&mut self, node: NodeId) {
-        if !self.cfg.dist.enabled() {
+    /// Re-sources a fabric transfer whose source node just failed, with
+    /// `left` of its checkpoint still to move: the remainder restarts from
+    /// the best *ready* replica (a relay chain rooted at the failed node
+    /// lost its feed, so mid-flight peers are not eligible), falling back
+    /// to a registry resume over the destination's own remote link.
+    /// Deterministic — the event-application path consults no RNG, and the
+    /// fresh channel epoch keeps the dead channel's LoadDone events stale.
+    fn reroute_transfer(&mut self, inst: InstanceId, left: f64, started: SimTime) {
+        let Some(h) = self.instances.get(&inst) else {
             return;
-        }
-        let store = &self.nodes[node.0 as usize].store;
-        let (dram, ssd) = (store.dram_models(), store.ssd_models());
-        self.dir.refresh_node(node, &dram, &ssd);
-    }
-
-    /// Re-sources a fabric transfer whose source node just failed: the
-    /// remaining fraction of the checkpoint restarts from the best *ready*
-    /// replica (a relay chain rooted at the failed node lost its feed, so
-    /// mid-flight peers are not eligible), falling back to a registry
-    /// resume over the destination's own remote link. Deterministic — the
-    /// event-application path consults no RNG, and the fresh channel epoch
-    /// keeps the dead channel's LoadDone events stale.
-    fn reroute_transfer(
-        &mut self,
-        inst: InstanceId,
-        remaining_s: f64,
-        work_s: f64,
-        started: SimTime,
-    ) {
-        let (model, dest) = {
-            let h = &self.instances[&inst];
-            (h.inst.model, h.node)
         };
-        let frac = if work_s > 0.0 {
-            (remaining_s / work_s).clamp(0.0, 1.0)
-        } else {
-            0.0
+        let (model, dest) = (h.inst.model, h.node);
+        let bytes_left = self.model_spec(model).weights_bytes() as f64 * left;
+        let (channel, work_s) = match self.cheapest_peer(model, dest, bytes_left, false) {
+            Some(plan) => (plan.src, plan.work_s),
+            None => (dest, bytes_left / (self.node_hw(dest).remote_bw_gbps * 1e9)),
         };
-        let bytes_left = self.model_spec(model).weights_bytes() as f64 * frac;
-        let dest_hw = self.node_hw(dest);
-        let fabric_lat = dest_hw.fabric_latency_s;
-        let dest_fabric = dest_hw.fabric_bw_gbps;
-        let remote_bw = dest_hw.remote_bw_gbps;
-        let mut best: Option<(f64, NodeId, f64)> = None; // (est, src, hop seconds)
-        for rep in self.dir.replicas(model) {
-            if rep.node == dest
-                || rep.state != ReplicaState::Ready
-                || !self.node_schedulable(rep.node)
-            {
-                continue;
-            }
-            let rate = dest_fabric.min(self.node_hw(rep.node).tier_bw_gbps(rep.tier));
-            if rate <= 0.0 {
-                continue;
-            }
-            let t = bytes_left / (rate * 1e9) + fabric_lat;
-            let k = if self.cfg.checkpoints.contention {
-                self.nodes[rep.node.0 as usize].loads.len() as f64 + 1.0
-            } else {
-                1.0
-            };
-            let est = t * k;
-            let better = match best {
-                None => true,
-                Some((be, bn, _)) => (est, rep.node) < (be, bn),
-            };
-            if better {
-                best = Some((est, rep.node, t));
-            }
-        }
-        let (channel, t) = match best {
-            Some((_, src, t)) => (src, t),
-            None => (dest, bytes_left / (remote_bw * 1e9)),
-        };
-        self.instances
-            .get_mut(&inst)
-            // detlint::allow(D005, "reroute only runs for instances the failing node's loading list still names; absence is directory corruption")
-            .expect("reroute target exists")
-            .load_channel = (channel != dest).then_some(channel);
-        let ch = channel.0 as usize;
-        if self.cfg.checkpoints.contention {
-            self.settle_loads(ch);
-            self.nodes[ch].loads.insert(
-                inst,
-                ActiveLoad {
-                    remaining_s: t,
-                    work_s: t,
-                    started,
-                },
-            );
-            self.reschedule_loads(ch);
-        } else {
-            let finish = self.clock + SimDuration::from_secs_f64(t);
-            self.events.push(
-                finish,
-                Event::LoadDone {
-                    inst,
-                    elapsed: finish.since(started),
-                    epoch: 0,
-                },
-            );
-        }
+        // Only contended loads are ever on a channel to be rerouted from.
+        self.begin_load(inst, Some(channel), work_s, started);
     }
 
     /// Cache-aware keep-alive: returns true when unloading this idle
     /// instance should be deferred one more keep-alive period because it
     /// would send the fleet's *last* warm copy of the model back to the
-    /// registry. Bounded by `keepalive_defer_max` deferrals so a cooling
-    /// fleet still drains. No-op (always false) unless `dist.cache_aware`.
+    /// registry. Bounded by [`KEEPALIVE_DEFER_MAX`] deferrals so a cooling
+    /// fleet still drains. No-op (always false) unless the distribution
+    /// config is cache-aware.
     pub(crate) fn keepalive_defer(&mut self, inst: InstanceId) -> bool {
-        if !self.cfg.dist.cache_aware {
+        let Some(h) = self.instances.get_mut(&inst) else {
             return false;
-        }
-        let (model, node, defers) = match self.instances.get(&inst) {
-            Some(h) => (h.inst.model, h.node, h.keepalive_defers),
-            None => return false,
         };
-        if defers >= self.cfg.dist.keepalive_defer_max {
-            return false;
+        let (model, node) = (h.inst.model, h.node);
+        // Another live instance of the model keeps the weights hot whatever
+        // happens to this one, and so does a ready replica elsewhere. A
+        // local DRAM/SSD copy below the instance's HBM residency makes the
+        // next cold start cheap anyway: defer only when eviction would
+        // truly fall back to the registry.
+        let defer = self.cfg.dist.cache_aware()
+            && h.keepalive_defers < KEEPALIVE_DEFER_MAX
+            && self.index.by_model[model.0 as usize] == [inst]
+            && self.dir.ready_replicas_elsewhere(model, node) == 0
+            && self.nodes[node.0 as usize]
+                .store
+                .peek_tier(model, &self.cfg.checkpoints)
+                == CheckpointTier::Remote;
+        if defer {
+            h.keepalive_defers += 1;
         }
-        // Another live instance of the model keeps the weights hot
-        // regardless of what happens to this one.
-        if self.model_instances(model).iter().any(|&id| id != inst) {
-            return false;
-        }
-        if self.dir.ready_replicas_elsewhere(model, node) > 0 {
-            return false;
-        }
-        // Only defer when eviction would truly fall back to the registry:
-        // a local DRAM/SSD copy below the instance's HBM residency makes
-        // the next cold start cheap anyway.
-        if self.nodes[node.0 as usize]
-            .store
-            .peek_tier(model, &self.cfg.checkpoints)
-            != CheckpointTier::Remote
-        {
-            return false;
-        }
-        self.instances
-            .get_mut(&inst)
-            // detlint::allow(D005, "the same map was read a few lines up; between the two lookups nothing can remove the instance")
-            .expect("checked above")
-            .keepalive_defers += 1;
-        true
+        defer
     }
 
     /// [`World::estimate_load_s`] as an integer-nanosecond sort key — the
@@ -1074,7 +961,7 @@ impl World {
     /// KV-transfer delay for PD disaggregation: `tokens · C / bandwidth`.
     pub fn kv_transfer_delay(&self, model: ModelId, tokens: u32) -> SimDuration {
         let bytes = tokens as u64 * self.model_spec(model).kv_bytes_per_token();
-        SimDuration::from_secs_f64(bytes as f64 / (self.cfg.kv_transfer_gbps * 1e9))
+        SimDuration::from_secs_f64(bytes as f64 / (KV_TRANSFER_GBPS * 1e9))
     }
 
     // ------------------------------------------------------------------
@@ -1155,45 +1042,34 @@ impl World {
         // stream over the fabric into DRAM, contending on the *source*
         // node's loading channel instead of the local one.
         let ix = node.0 as usize;
-        let ckpt = self.cfg.checkpoints.clone();
+        let bytes = spec.weights_bytes();
         let hbm = self.hbm_resident(model, node);
-        let plan = if self.cfg.dist.fetch_enabled() && !hbm {
-            self.plan_transfer(model, node)
-        } else {
+        let plan = if hbm {
             None
+        } else {
+            self.plan_transfer(model, node)
         };
-        let ranks = if self.cfg.dist.cache_aware {
+        let ranks = if self.cfg.dist.cache_aware() {
             self.dram_eviction_ranks(node)
         } else {
             Vec::new()
         };
-        let (tier, peer) = if hbm {
-            self.nodes[ix].store.touch(model);
-            (CheckpointTier::Hbm, None)
-        } else if let Some(TransferPlan {
-            source: TransferSource::Peer { node: src, relay },
-            work_s,
-            ..
-        }) = plan
-        {
-            self.nodes[ix]
-                .store
-                .admit_fabric(model, spec.weights_bytes(), &ckpt, &ranks);
-            (CheckpointTier::Dram, Some((src, relay, work_s)))
-        } else if self.cfg.dist.cache_aware {
-            let t = self.nodes[ix]
-                .store
-                .fetch_ranked(model, spec.weights_bytes(), &ckpt, &ranks);
-            (t, None)
+        let ckpt = &self.cfg.checkpoints;
+        let store = &mut self.nodes[ix].store;
+        let tier = if hbm {
+            store.touch(model);
+            CheckpointTier::Hbm
+        } else if plan.is_some() {
+            store.admit_fabric(model, bytes, ckpt, &ranks);
+            CheckpointTier::Dram
         } else {
-            let t = self.nodes[ix]
-                .store
-                .fetch(model, spec.weights_bytes(), &ckpt);
-            (t, None)
+            store.fetch(model, bytes, ckpt, &ranks)
         };
         if self.cfg.dist.enabled() {
-            self.refresh_directory(node);
-            if peer.is_some() || tier == CheckpointTier::Remote {
+            let store = &self.nodes[ix].store;
+            self.dir
+                .refresh_node(node, &store.dram_models(), &store.ssd_models());
+            if plan.is_some() || tier == CheckpointTier::Remote {
                 self.dir.mark_arriving(model, node);
             }
         }
@@ -1209,137 +1085,87 @@ impl World {
                 slots,
                 load_tier: tier,
                 load_channel: None,
-                fabric: peer.is_some(),
+                fabric: plan.is_some(),
                 keepalive_defers: 0,
             },
         );
         self.metrics.cold_starts += 1;
-        match peer {
-            Some((_, relay, _)) => {
+        match plan {
+            Some(p) => {
                 self.metrics.peer_fetches += 1;
-                if relay {
+                if p.relay {
                     self.metrics.multicast_relays += 1;
                 }
             }
             None => self.metrics.cold_tier_loads[tier.index()] += 1,
         }
-        let hw = self.nodes[ix].hw.clone();
-        let base = match peer {
-            Some((_, _, work_s)) => work_s,
-            None => self.perf.load_time(&spec, &hw, tier, 1),
+        let base = match plan {
+            Some(p) => p.work_s,
+            None => self.perf.load_time(&spec, &self.nodes[ix].hw, tier, 1),
         };
         let work = self.cfg.noise.apply(base, &mut self.rng);
-        let channel = match peer {
-            // A fabric stream shares the source's loading channel with the
-            // source's own cold starts.
-            Some((src, _, _)) if ckpt.contention => Some(src.0 as usize),
-            None if ckpt.contention && tier != CheckpointTier::Hbm => Some(ix),
-            _ => None,
-        };
-        if let Some(ch) = channel {
-            // Join the shared loading channel: everyone slows down to bw/k
-            // and the whole channel is rescheduled.
-            if ch != ix {
-                self.instances
-                    .get_mut(&id)
-                    // detlint::allow(D005, "this function inserted `id` into the map earlier in the same call")
-                    .expect("just inserted")
-                    .load_channel = Some(NodeId(ch as u32));
-            }
-            self.settle_loads(ch);
-            self.nodes[ch].loads.insert(
-                id,
-                ActiveLoad {
-                    remaining_s: work,
-                    work_s: work,
-                    started: self.clock,
-                },
-            );
-            self.reschedule_loads(ch);
-        } else {
-            let dur = SimDuration::from_secs_f64(work);
-            self.events.push(
-                self.clock + dur,
-                Event::LoadDone {
-                    inst: id,
-                    elapsed: dur,
-                    epoch: 0,
-                },
-            );
-        }
+        // A tiered load joins a loading channel unless it is an HBM copy:
+        // its own node's, or for a fabric stream the source's, shared with
+        // the source's own cold starts.
+        let channel = (self.cfg.checkpoints.is_tiered() && tier != CheckpointTier::Hbm)
+            .then(|| plan.map_or(node, |p| p.src));
+        self.begin_load(id, channel, work, self.clock);
         Ok(id)
     }
 
     // ------------------------------------------------------------------
-    // Shared loading channel (contended cold starts)
+    // Loading (fixed-duration and shared-channel cold starts)
     // ------------------------------------------------------------------
 
-    /// Advances every in-flight load on a node to `now`: with `k` loads
-    /// sharing the channel, each completes `1/k` units of work per second.
-    fn settle_loads(&mut self, node_ix: usize) {
-        let now = self.clock;
-        let n = &mut self.nodes[node_ix];
-        let k = n.loads.len();
-        if k > 0 {
-            let elapsed = now.since(n.loads_settled_at).as_secs_f64();
-            if elapsed > 0.0 {
-                let rate = 1.0 / k as f64;
-                for l in n.loads.values_mut() {
-                    l.remaining_s = (l.remaining_s - elapsed * rate).max(0.0);
-                }
-            }
-        }
-        n.loads_settled_at = now;
-    }
-
-    /// Reschedules every in-flight load on a node after a membership
-    /// change (a load joined, finished, or was cancelled): each load's
-    /// completion lands at `now + remaining · k`, under a fresh epoch so
-    /// previously pushed events go stale.
-    fn reschedule_loads(&mut self, node_ix: usize) {
-        // Epochs come from a world-global counter: a load that migrates
-        // between channels (source-node failure reroute) can then never be
-        // confirmed by a stale event that happens to carry the new
-        // channel's current per-node count. Only equality is ever checked,
-        // so the switch from per-node counters is behavior-neutral.
-        self.next_load_epoch += 1;
-        let n = &mut self.nodes[node_ix];
-        n.load_epoch = self.next_load_epoch;
-        let epoch = n.load_epoch;
-        let k = n.loads.len();
-        if k == 0 {
-            return;
-        }
-        let now = self.clock;
-        let pending: Vec<(SimTime, InstanceId, SimTime)> = n
-            .loads
-            .iter()
-            .map(|(&inst, l)| {
-                let finish = now + SimDuration::from_secs_f64(l.remaining_s * k as f64);
-                (finish, inst, l.started)
-            })
-            .collect();
-        for (finish, inst, started) in pending {
+    /// Starts `inst`'s load of `work_s` uncontended seconds, begun at
+    /// `started`: on `channel`'s shared loading channel when given (a peer
+    /// fetch runs on its source's), else as a fixed-duration load that
+    /// runs alone. Used by the create path and by reroutes.
+    fn begin_load(
+        &mut self,
+        inst: InstanceId,
+        channel: Option<NodeId>,
+        work_s: f64,
+        started: SimTime,
+    ) {
+        let Some(channel) = channel else {
+            let finish = self.clock + SimDuration::from_secs_f64(work_s);
             self.events.push(
                 finish,
                 Event::LoadDone {
                     inst,
                     elapsed: finish.since(started),
-                    epoch,
+                    epoch: 0,
                 },
             );
+            return;
+        };
+        if let Some(h) = self.instances.get_mut(&inst) {
+            h.load_channel = (channel != h.node).then_some(channel);
         }
+        self.next_load_epoch += 1;
+        self.nodes[channel.0 as usize].channel.join(
+            inst,
+            work_s,
+            started,
+            self.clock,
+            self.next_load_epoch,
+            &mut self.events,
+        );
     }
 
-    /// Removes a (possibly absent) in-flight contended load, speeding the
-    /// survivors back up. Used when a loading instance is unloaded (drain)
-    /// or preempted before its cold start finished.
-    fn cancel_load(&mut self, inst: InstanceId, node_ix: usize) {
-        if self.nodes[node_ix].loads.contains_key(&inst) {
-            self.settle_loads(node_ix);
-            self.nodes[node_ix].loads.remove(&inst);
-            self.reschedule_loads(node_ix);
-        }
+    /// Takes `inst`'s load (if any) off `channel`, speeding the loads left
+    /// there back up. Used when a load finishes, when a still-loading
+    /// instance is unloaded, and when a node failure kills the instance a
+    /// peer transfer was streaming into.
+    fn leave_channel(&mut self, inst: InstanceId, channel: NodeId) {
+        self.next_load_epoch += 1;
+        self.nodes[channel.0 as usize].channel.leave(
+            inst,
+            self.clock,
+            self.next_load_epoch,
+            &mut self.events,
+        );
     }
 
     /// Validates a `LoadDone` event against the loading channel. Returns
@@ -1355,19 +1181,13 @@ impl World {
         if epoch == 0 {
             return Some(elapsed);
         }
-        let node_ix = match self.instances.get(&inst) {
-            // A peer fetch lives on the *source* node's channel.
-            Some(h) => h.load_channel.unwrap_or(h.node).0 as usize,
-            // The instance died (NodeFail / drain unload) with its load.
-            None => return None,
-        };
-        if epoch != self.nodes[node_ix].load_epoch || !self.nodes[node_ix].loads.contains_key(&inst)
-        {
+        // `None` when the instance died (NodeFail / drain unload) with its
+        // load.
+        let channel = self.instances.get(&inst)?.channel_node();
+        if !self.nodes[channel.0 as usize].channel.is_live(inst, epoch) {
             return None;
         }
-        self.settle_loads(node_ix);
-        self.nodes[node_ix].loads.remove(&inst);
-        self.reschedule_loads(node_ix);
+        self.leave_channel(inst, channel);
         Some(elapsed)
     }
 
@@ -1438,7 +1258,7 @@ impl World {
         // the cached prefix is discounted here too. Runs entirely before the
         // mutable borrow of the target instance below.
         let mut migrated: Option<(u64, u32)> = None;
-        if self.cfg.sessions.enabled && self.cfg.sessions.migrate_kv {
+        if self.cfg.sessions.enabled {
             if let IterationKind::Prefill(req) = kind {
                 if let Some(tag) = self.instances[&inst].inst.queued_session(req) {
                     if tag.is_followup() && !self.instances[&inst].inst.has_session(tag.id) {
@@ -1481,7 +1301,7 @@ impl World {
                             let bytes = tokens as u64 * h.inst.spec.kv_bytes_per_token();
                             self.metrics.kv_migrations += 1;
                             self.metrics.kv_migration_bytes += bytes;
-                            base += bytes as f64 / (self.cfg.kv_transfer_gbps * 1e9);
+                            base += bytes as f64 / (KV_TRANSFER_GBPS * 1e9);
                         }
                         None => self.metrics.prefix_hit_tokens += ps.cached_tokens as u64,
                     }
@@ -1589,14 +1409,12 @@ impl World {
         );
         let freed = h.inst.spec.weights_bytes() + h.inst.kv_capacity_bytes();
         // A still-loading instance leaves the shared loading channel, and
-        // any co-loading survivors speed back up. A peer fetch lives on
-        // the *source* node's channel.
-        let channel = h.load_channel.unwrap_or(h.node);
-        self.cancel_load(inst, channel.0 as usize);
+        // any co-loading survivors speed back up.
+        self.leave_channel(inst, h.channel_node());
         if self.cfg.dist.enabled() {
             // Drop any arriving marker. The tier entry stays: the store
-            // keeps admitted-but-cancelled checkpoints (PR 5 semantics),
-            // so the directory keeps reporting the copy too.
+            // keeps admitted-but-cancelled checkpoints, so the directory
+            // keeps reporting the copy too.
             self.dir.mark_ready(h.inst.model, h.node);
         }
         let node = &mut self.nodes[h.node.0 as usize];
@@ -1694,7 +1512,7 @@ impl World {
         if !self.node_schedulable(h.node) {
             return None;
         }
-        let cap = ((sc.stickiness * sc.affinity_max_inflight as f64).floor() as u32).max(1);
+        let cap = ((sc.stickiness * AFFINITY_MAX_INFLIGHT as f64).floor() as u32).max(1);
         if h.inst.live_count() >= cap {
             return None;
         }
@@ -1747,35 +1565,24 @@ impl World {
                     self.nodes[node.0 as usize].health = NodeHealth::Down;
                     self.metrics.node_failures += 1;
                 }
-                // Fabric transfers streaming *out* of this node (peer
-                // fetches whose destination survives) must be rerouted
-                // before the channel dies: settle them and remember how
-                // much of each stream is left.
-                let mut rerouted: Vec<(InstanceId, f64, f64, SimTime)> = Vec::new();
-                if self.cfg.dist.enabled() {
-                    self.settle_loads(node.0 as usize);
-                    for (&id, l) in &self.nodes[node.0 as usize].loads {
-                        if let Some(h) = self.instances.get(&id) {
-                            if h.node != *node {
-                                rerouted.push((id, l.remaining_s, l.work_s, l.started));
-                            }
-                        }
-                    }
-                }
+                // The loading channel dies with the host, and its
+                // LoadDone events go stale. Fabric transfers it was
+                // streaming *out* (peer fetches whose destination
+                // survives) are rerouted below with what is left of them.
+                let now = self.clock;
+                let mut rerouted = self.nodes[node.0 as usize].channel.fail(now);
+                rerouted.retain(|(id, ..)| self.instances.get(id).is_some_and(|h| h.node != *node));
                 let n = &mut self.nodes[node.0 as usize];
                 n.committed = 0;
                 for b in &mut n.slot_busy {
                     *b = false;
                 }
-                // The checkpoint cache dies with the host (DRAM is gone and
-                // the disk never rejoins the fleet), and so do in-flight
-                // loads — their LoadDone events go stale with the entries.
+                // The checkpoint cache dies with the host too (DRAM is gone
+                // and the disk never rejoins the fleet).
                 n.store.clear();
-                n.loads.clear();
                 self.dir.clear_node(*node);
                 // Everything hosted is gone; salvage the request states.
                 let lost: Vec<InstanceId> = self.node_instances(*node).to_vec();
-                let now = self.clock;
                 let mut displaced = Vec::new();
                 for inst in lost {
                     // detlint::allow(D005, "`lost` was enumerated from this map in this match arm; no removal happens in between")
@@ -1784,9 +1591,7 @@ impl World {
                     // surviving peer's channel leaves that channel, so the
                     // survivors there speed back up.
                     if let Some(ch) = h.load_channel {
-                        if ch != *node {
-                            self.cancel_load(inst, ch.0 as usize);
-                        }
+                        self.leave_channel(inst, ch);
                     }
                     self.index.remove(
                         inst,
@@ -1801,8 +1606,8 @@ impl World {
                     self.metrics.instance_lifetime_s += now.since(h.inst.created_at).as_secs_f64();
                     displaced.extend(moved);
                 }
-                for (id, rem, work, started) in rerouted {
-                    self.reroute_transfer(id, rem, work, started);
+                for (id, left, started) in rerouted {
+                    self.reroute_transfer(id, left, started);
                     self.metrics.transfer_reroutes += 1;
                 }
                 displaced
@@ -1896,39 +1701,33 @@ impl World {
 
     pub(crate) fn apply_load_done(&mut self, inst: InstanceId, elapsed: SimDuration) {
         let now = self.clock;
-        let mut graced: Vec<(RequestId, SimDuration)> = Vec::new();
-        if let Some(h) = self.instances.get(&inst) {
-            let (model, node, fabric, tier) = (h.inst.model, h.node, h.fabric, h.load_tier);
-            if fabric {
-                self.metrics.peer_fetch_seconds += elapsed.as_secs_f64();
-            } else {
-                self.metrics.cold_tier_seconds[tier.index()] += elapsed.as_secs_f64();
-            }
-            if self.cfg.dist.enabled() {
-                self.dir.mark_ready(model, node);
-            }
-            if self.cfg.record_activations {
-                self.metrics.activations.push((model, now.as_secs_f64()));
+        let Some(h) = self.instances.get_mut(&inst) else {
+            return;
+        };
+        if h.fabric {
+            self.metrics.peer_fetch_seconds += elapsed.as_secs_f64();
+        } else {
+            self.metrics.cold_tier_seconds[h.load_tier.index()] += elapsed.as_secs_f64();
+        }
+        if self.cfg.dist.enabled() {
+            self.dir.mark_ready(h.inst.model, h.node);
+        }
+        if self.cfg.record_activations {
+            self.metrics
+                .activations
+                .push((h.inst.model, now.as_secs_f64()));
+        }
+        h.inst.activate(now);
+        for r in h.inst.requests_mut() {
+            if r.grace.is_zero() {
+                r.grace = elapsed;
+                let rec = self.metrics.record_mut(r.req.id);
+                rec.grace = elapsed;
+                rec.cold_start = true;
             }
         }
-        if let Some(h) = self.instances.get_mut(&inst) {
-            h.inst.activate(now);
-            for r in h.inst.requests_mut() {
-                if r.grace.is_zero() {
-                    r.grace = elapsed;
-                    graced.push((r.req.id, elapsed));
-                }
-            }
-            let node = h.node;
-            let group = h.slots.clone();
-            for s in group {
-                self.wake.push((node, s));
-            }
-        }
-        for (id, grace) in graced {
-            let rec = self.metrics.record_mut(id);
-            rec.grace = grace;
-            rec.cold_start = true;
+        for &s in &h.slots {
+            self.wake.push((h.node, s));
         }
     }
 
@@ -1992,12 +1791,7 @@ mod tests {
     const GB: u64 = 1_000_000_000;
 
     fn tiered_world(nodes: ClusterSpec, models: Vec<ModelSpec>) -> World {
-        let cfg = WorldConfig {
-            noise: NoiseModel::off(),
-            checkpoints: CheckpointConfig::tiered(30 * GB, Some(100 * GB)),
-            ..WorldConfig::default()
-        };
-        World::new(&nodes, models, cfg)
+        dist_world(nodes, models, DistConfig::off())
     }
 
     #[test]
@@ -2107,11 +1901,8 @@ mod tests {
 
     #[test]
     fn affinity_target_respects_turn_stickiness_and_load() {
-        let sessions = SessionConfig {
-            affinity_max_inflight: 4, // cap = floor(0.5 * 4) = 2
-            ..SessionConfig::reuse(0.5)
-        };
-        let mut w = session_world(sessions, 1);
+        // cap = floor(0.125 * AFFINITY_MAX_INFLIGHT) = 2
+        let mut w = session_world(SessionConfig::reuse(0.125), 1);
         let a = w
             .create_instance(ModelId(0), NodeId(0), 0, 4 * GB)
             .expect("fits");
@@ -2417,6 +2208,82 @@ mod tests {
         assert_eq!(w.loads_in_flight(NodeId(2)), 1);
         assert_eq!(w.loads_in_flight(NodeId(1)), 0);
         assert!(w.instance(inst).is_some());
+    }
+
+    /// Plays the queued loads as the driver does; returns each live
+    /// completion as `(instance, finish time)`, in time order.
+    fn finish_loads(w: &mut World) -> Vec<(InstanceId, SimTime)> {
+        let mut done = Vec::new();
+        while let Some((t, ev)) = w.events.pop() {
+            // Stale completions may sit behind a clock the test moved.
+            w.set_now(t.max(w.now()));
+            if let Event::LoadDone {
+                inst,
+                elapsed,
+                epoch,
+            } = ev
+            {
+                if let Some(elapsed) = w.resolve_load_done(inst, elapsed, epoch) {
+                    w.apply_load_done(inst, elapsed);
+                    done.push((inst, t));
+                }
+            }
+        }
+        done
+    }
+
+    /// `resolve_load_done` rejects a completion pushed before its channel
+    /// changed membership and accepts the rescheduled one.
+    #[test]
+    fn resolve_load_done_rejects_completions_pushed_before_a_join() {
+        let models = vec![ModelSpec::llama2_7b(), ModelSpec::llama2_7b().replica(1)];
+        let mut w = tiered_world(ClusterSpec::heterogeneous(0, 1), models);
+        let a = w.create_instance(ModelId(0), NodeId(0), 0, GB).unwrap();
+        let (_, first) = w.events.pop().unwrap();
+        let b = w.create_instance(ModelId(1), NodeId(0), 0, GB).unwrap();
+        let Event::LoadDone { elapsed, epoch, .. } = first else {
+            panic!("unexpected event {first:?}");
+        };
+        assert_eq!(w.resolve_load_done(a, elapsed, epoch), None);
+        // Both remote fetches share the channel from t = 0.
+        let hw = w.node_hw(NodeId(0)).clone();
+        let solo = w
+            .perf()
+            .load_time(w.model_spec(ModelId(0)), &hw, CheckpointTier::Remote, 1);
+        let shared = SimTime::ZERO + SimDuration::from_secs_f64(2.0 * solo);
+        assert_eq!(finish_loads(&mut w), [(a, shared), (b, shared)]);
+    }
+
+    /// A transfer whose source fails at `t` restarts what is left from the
+    /// cheapest ready replica and finishes at `t + (bytes left / rate +
+    /// fabric latency) × k`, `k` counting the new source channel's loads.
+    #[test]
+    fn rerouted_transfer_finishes_from_the_new_source() {
+        let models = vec![ModelSpec::llama2_7b(), ModelSpec::llama2_7b().replica(1)];
+        let mut w = dist_world(ClusterSpec::heterogeneous(0, 3), models, DistConfig::peer());
+        warm(&mut w, ModelId(0), NodeId(0));
+        warm(&mut w, ModelId(0), NodeId(2));
+        // A long registry fetch keeps node 2's channel busy, so the
+        // transfer first streams from idle node 0.
+        w.create_instance(ModelId(1), NodeId(2), 0, GB).unwrap();
+        let inst = w.create_instance(ModelId(0), NodeId(1), 0, GB).unwrap();
+        assert_eq!(w.loads_in_flight(NodeId(0)), 1);
+        w.set_now(SimTime::from_millis(500));
+        w.apply_cluster_event(&ClusterEvent::NodeFail(NodeId(0)));
+        assert_eq!(w.loads_in_flight(NodeId(2)), 2);
+
+        let bytes = w.model_spec(ModelId(0)).weights_bytes() as f64;
+        let hw = w.node_hw(NodeId(1)).clone();
+        let rate = hw.fabric_bw_gbps.min(hw.tier_bw_gbps(CheckpointTier::Dram)) * 1e9;
+        let work = bytes / rate + hw.fabric_latency_s;
+        let left = (work - 0.5) / work;
+        let expected = 0.5 + (bytes * left / rate + hw.fabric_latency_s) * 2.0;
+        let (first, at) = finish_loads(&mut w)[0];
+        assert_eq!(first, inst);
+        assert!(
+            (at.as_secs_f64() - expected).abs() < 2e-6,
+            "{at:?} vs {expected}"
+        );
     }
 
     #[test]

@@ -147,24 +147,22 @@ fn remote_fetch_when_no_local_copy_exists() {
 fn concurrent_loads_share_the_channel() {
     // Two different models cold-start simultaneously on one node: each
     // sees bw/2 for the whole overlap, so both take exactly twice the
-    // uncontended DRAM load time.
-    let contended = CheckpointConfig {
-        contention: true,
-        ..CheckpointConfig::flat()
-    };
+    // uncontended SSD load time.
+    let contended = CheckpointConfig::tiered(30 * GB, None);
     let t = trace(vec![(0, 0), (0, 1)]);
     let m = run(ClusterSpec::heterogeneous(0, 1), 2, contended, &t, false);
-    assert_eq!(m.cold_tier_loads, [0, 2, 0, 0]);
-    let dram = load_s(14.0);
+    assert_eq!(m.cold_tier_loads, [0, 0, 2, 0]);
+    let ssd = load_s(6.0);
     for rec in &m.records {
         assert!(
-            close(rec.grace.as_secs_f64(), 2.0 * dram),
+            close(rec.grace.as_secs_f64(), 2.0 * ssd),
             "contended load {:?} vs expected {}",
             rec.grace,
-            2.0 * dram
+            2.0 * ssd
         );
     }
     // The flat default does not contend: same trace, solo-speed loads.
+    let dram = load_s(14.0);
     let t2 = trace(vec![(0, 0), (0, 1)]);
     let flat = run(
         ClusterSpec::heterogeneous(0, 1),
@@ -184,13 +182,10 @@ fn straggler_speeds_up_when_neighbour_finishes() {
     // head start), B's tail runs uncontended again. Total durations are
     // pinned by the processor-sharing schedule:
     //   A: 0.5 s alone + shared window until its work is done.
-    let contended = CheckpointConfig {
-        contention: true,
-        ..CheckpointConfig::flat()
-    };
+    let contended = CheckpointConfig::tiered(30 * GB, None);
     let t = trace(vec![(0, 0), (500, 1)]);
     let m = run(ClusterSpec::heterogeneous(0, 1), 2, contended, &t, false);
-    let w = load_s(14.0); // uncontended work per load, seconds
+    let w = load_s(6.0); // uncontended SSD work per load, seconds
     let a = m.records[0].grace.as_secs_f64();
     let b = m.records[1].grace.as_secs_f64();
     // A: 0.5 alone, remaining (w - 0.5) at half speed.
@@ -209,10 +204,7 @@ fn hbm_hit_for_co_resident_model() {
     // Same model, second instance forced onto the same node while the
     // first is active: the weights are already in serving memory, so the
     // second cold start is a near-free device copy.
-    let ckpt = CheckpointConfig {
-        hbm_hits: true,
-        ..CheckpointConfig::flat()
-    };
+    let ckpt = CheckpointConfig::tiered(30 * GB, None);
     let mut cfg_trace = trace(vec![(0, 0), (3_000, 0)]);
     cfg_trace.requests[1].input_len = 256;
     let models = vec![ModelSpec::llama2_7b()];
@@ -230,8 +222,8 @@ fn hbm_hit_for_co_resident_model() {
     )
     .run(&cfg_trace);
     assert_eq!(m.cold_starts, 2);
-    assert_eq!(m.cold_tier_loads, [1, 1, 0, 0]);
-    assert!(close(m.records[0].grace.as_secs_f64(), load_s(14.0)));
+    assert_eq!(m.cold_tier_loads, [1, 0, 1, 0]);
+    assert!(close(m.records[0].grace.as_secs_f64(), load_s(6.0)));
     assert!(close(m.records[1].grace.as_secs_f64(), load_s(1300.0)));
 }
 

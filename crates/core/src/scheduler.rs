@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use cluster::{ClusterEvent, MemError, NodeId, Policy, World};
 use engine::instance::{InstanceId, InstanceState, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
+use hwmodel::HardwareSpec;
 use simcore::time::{SimDuration, SimTime};
 use workload::request::{ModelId, RequestId};
 
@@ -198,21 +199,13 @@ impl Slinfer {
         prefill_ok && decode_ok
     }
 
-    fn shadow_start(&self, w: &World, node: NodeId, slot: usize, target: InstanceId) -> SimTime {
-        let mut start = w.now();
-        let group: Vec<usize> = w
-            .instance_slots(target)
-            .map(|s| s.to_vec())
-            .unwrap_or_else(|| vec![slot]);
-        for s in group {
-            if let Some(&b) = self.busy_until.get(&(node.0, s)) {
-                start = start.max(b);
-            }
-        }
-        if let Some(&act) = self.expected_active.get(&target) {
-            start = start.max(act);
-        }
-        start
+    /// When every slot of `group` on `node` has finished its scheduled
+    /// iterations (now at the earliest) — where a shadow replay starts.
+    fn group_free_at(&self, w: &World, node: NodeId, group: &[usize]) -> SimTime {
+        group
+            .iter()
+            .filter_map(|&s| self.busy_until.get(&(node.0, s)))
+            .fold(w.now(), |t, &b| t.max(b))
     }
 
     /// The instances contending any slot of `slots` on `node`, deduped and
@@ -242,58 +235,68 @@ impl Slinfer {
         let ids = Self::colocated(w, node, &target_slots);
         self.ensure_instance_profiles(w, node, &ids);
         let hw = w.node_hw(node).clone();
-        let start = self.shadow_start(w, node, slot, target);
+        let mut start = self.group_free_at(w, node, &target_slots);
+        if let Some(&act) = self.expected_active.get(&target) {
+            start = start.max(act);
+        }
         // Candidate's grace: admitted-during-load requests get the load
         // duration; approximate with expected activation for loading targets.
         let cand_anchor = match self.expected_active.get(&target) {
             Some(&act) if act > rr.req.arrival => act,
             _ => rr.req.arrival + rr.grace,
         };
-        let mut views = Vec::with_capacity(ids.len());
-        let mut target_ix = 0;
-        for (k, &id) in ids.iter().enumerate() {
-            let inst = w.instance(id).expect("listed");
-            let q = self
-                .quant
-                .get(&inst.spec, &hw, w.instance_share(id))
-                .expect("profiled above");
-            // Requests admitted during a cold start have not received their
-            // grace yet; anchor them at the expected activation instead.
-            let pending_act = self.expected_active.get(&id).copied();
-            let mut reqs: Vec<ShadowReq> = inst
-                .requests()
-                .iter()
-                .map(|r| {
-                    let mut anchor = r.req.arrival + r.grace;
-                    if let (Some(act), true) = (pending_act, r.grace.is_zero()) {
-                        anchor = anchor.max(act);
-                    }
-                    ShadowReq {
-                        anchor,
-                        slo: w.slo_for(&r.req),
-                        input_len: r.req.input_len,
-                        tokens_done: r.tokens_out,
-                        prefill_len: r.prefill_len(),
-                        waiting: matches!(r.phase, ReqPhase::Waiting),
-                    }
-                })
-                .collect();
-            if id == target {
-                target_ix = k;
-                reqs.push(ShadowReq {
-                    anchor: cand_anchor,
-                    slo: w.slo_for(&rr.req),
-                    input_len: rr.req.input_len,
-                    tokens_done: rr.tokens_out,
-                    prefill_len: rr.prefill_len(),
-                    waiting: matches!(rr.phase, ReqPhase::Waiting),
-                });
-            }
-            views.push(InstView { quant: q, reqs });
-        }
+        let mut views: Vec<InstView> = ids
+            .iter()
+            .map(|&id| self.co_tenant_view(w, id, &hw))
+            .collect();
+        let target_ix = ids
+            .iter()
+            .position(|&id| id == target)
+            .expect("the target sits on its own slots");
+        views[target_ix]
+            .reqs
+            .push(Self::shadow_req(w, rr, cand_anchor));
         let cand_ix = views[target_ix].reqs.len() - 1;
         w.note_shadow_validation();
         validate(&mut views, target_ix, cand_ix, start, self.cfg.overestimate) == Verdict::Pass
+    }
+
+    /// A co-tenant's shadow view: its quantifier on `hw` and its requests,
+    /// each anchored at arrival + grace. Requests admitted during a cold
+    /// start have not received their grace yet, so they are anchored no
+    /// earlier than the expected activation.
+    fn co_tenant_view(&self, w: &World, id: InstanceId, hw: &HardwareSpec) -> InstView<'_> {
+        let inst = w.instance(id).expect("listed");
+        let quant = self
+            .quant
+            .get(&inst.spec, hw, w.instance_share(id))
+            .expect("profiled above");
+        let pending_act = self.expected_active.get(&id).copied();
+        let reqs = inst
+            .requests()
+            .iter()
+            .map(|r| {
+                let mut anchor = r.req.arrival + r.grace;
+                if let (Some(act), true) = (pending_act, r.grace.is_zero()) {
+                    anchor = anchor.max(act);
+                }
+                Self::shadow_req(w, r, anchor)
+            })
+            .collect();
+        InstView { quant, reqs }
+    }
+
+    /// `rr` as a shadow-validation request whose SLO clock starts at
+    /// `anchor`.
+    fn shadow_req(w: &World, rr: &RunningRequest, anchor: SimTime) -> ShadowReq {
+        ShadowReq {
+            anchor,
+            slo: w.slo_for(&rr.req),
+            input_len: rr.req.input_len,
+            tokens_done: rr.tokens_out,
+            prefill_len: rr.prefill_len(),
+            waiting: matches!(rr.phase, ReqPhase::Waiting),
+        }
     }
 
     /// Eq. 2 requirement if `rr` joined `inst`.
@@ -700,42 +703,11 @@ impl Slinfer {
         let cand_share: f64 = group.iter().map(|&s| w.slot_share(node, s)).sum();
         self.ensure_profile(w, node, rr.req.model, cand_share);
         let hw = w.node_hw(node).clone();
-        let mut start = w.now();
-        for &s in group {
-            if let Some(&b) = self.busy_until.get(&(node.0, s)) {
-                start = start.max(b);
-            }
-        }
+        let start = self.group_free_at(w, node, group);
         // Cold start shifts the candidate's anchor by the load time (grace).
         let act = w.now() + SimDuration::from_secs_f64(w.estimate_load_s(rr.req.model, node));
         let mut views = Vec::with_capacity(ids.len() + 1);
-        for &id in &ids {
-            let inst = w.instance(id).expect("listed");
-            let q = self
-                .quant
-                .get(&inst.spec, &hw, w.instance_share(id))
-                .expect("profiled above");
-            let pending_act = self.expected_active.get(&id).copied();
-            let reqs: Vec<ShadowReq> = inst
-                .requests()
-                .iter()
-                .map(|r| {
-                    let mut anchor = r.req.arrival + r.grace;
-                    if let (Some(act), true) = (pending_act, r.grace.is_zero()) {
-                        anchor = anchor.max(act);
-                    }
-                    ShadowReq {
-                        anchor,
-                        slo: w.slo_for(&r.req),
-                        input_len: r.req.input_len,
-                        tokens_done: r.tokens_out,
-                        prefill_len: r.prefill_len(),
-                        waiting: matches!(r.phase, ReqPhase::Waiting),
-                    }
-                })
-                .collect();
-            views.push(InstView { quant: q, reqs });
-        }
+        views.extend(ids.iter().map(|&id| self.co_tenant_view(w, id, &hw)));
         let spec = w.model_spec(rr.req.model);
         let q_new = self
             .quant
@@ -743,14 +715,7 @@ impl Slinfer {
             .expect("profiled above");
         views.push(InstView {
             quant: q_new,
-            reqs: vec![ShadowReq {
-                anchor: act.max(rr.req.arrival + rr.grace),
-                slo: w.slo_for(&rr.req),
-                input_len: rr.req.input_len,
-                tokens_done: rr.tokens_out,
-                prefill_len: rr.prefill_len(),
-                waiting: matches!(rr.phase, ReqPhase::Waiting),
-            }],
+            reqs: vec![Self::shadow_req(w, rr, act.max(rr.req.arrival + rr.grace))],
         });
         let target = views.len() - 1;
         w.note_shadow_validation();
