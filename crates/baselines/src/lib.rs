@@ -1,5 +1,11 @@
 //! Baseline serving systems from the SLINFER paper (§IX-A).
 //!
+//! The baselines differ from SLINFER in placement and scheduling only.
+//! They share the request-lifecycle mechanics of [`cluster::policy`] with
+//! it (the expiring [`cluster::Backlog`], the PD [`cluster::Handoffs`],
+//! the eviction on a KV allocation failure) and keep their own routing
+//! and retry passes.
+//!
 //! - [`sllm`] — the ServerlessLLM-style family behind one configurable
 //!   policy, [`Sllm`]:
 //!   - `sllm`: event-driven **exclusive GPU allocation**; a request goes to
@@ -9,9 +15,10 @@
 //!   - `sllm+c`: additionally serves on AMX CPU nodes, preferring them.
 //!   - `sllm+c+s`: additionally time-shares every node between two
 //!     half-resource slots with the paper's reduced concurrency limits.
-//! - [`groups`] — shared tensor-parallel slot-group claiming for the
-//!   exclusive-allocation baselines (one scan/grant implementation for
-//!   `sllm` and PD).
+//! - [`groups`] — the one launch path of the exclusive-allocation
+//!   baselines, `sllm` and PD: the idle-slot scan and the claim of a
+//!   `k`-slot group for any tensor-parallel degree (a plain instance is
+//!   `k = 1`), with the whole-node rule for oversized models.
 //! - [`limits`] — the §IX-A concurrency-limit tables: (59, 15, 6) CPU /
 //!   (160, 32, 16) GPU for full nodes and (23, 4, 6) / (71, 12, 4) for
 //!   half nodes, with a profile-derived fallback for other model sizes.

@@ -10,106 +10,64 @@
 //! instance pools per model and a KV-transfer hop between them. The paper
 //! finds this *hurts* in serverless settings: prefill instances idle 93% of
 //! their lifetime, doubling cold starts and node usage (Table III).
+//!
+//! Only the two pools are specific to this policy. Launches go through
+//! the shared launch path of [`crate::groups`] (so an oversized model gets
+//! a whole empty node, as under `sllm`), arrivals wait in a [`Backlog`],
+//! and the KV transfer is [`Handoffs`], the same one SLINFER's PD mode
+//! uses.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use cluster::{NodeId, Policy, World};
+use cluster::{Backlog, Handoffs, NodeId, Policy, World};
 use engine::instance::{InstanceId, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
-use simcore::time::SimDuration;
 use workload::request::{ModelId, RequestId};
 
+use crate::groups::{claim_slot_group, free_slots};
 use crate::limits::concurrency_limit;
 
-const TAG_HANDOFF: u64 = 1 << 63;
+/// Concurrent prefills a prefill instance accepts before scale-out.
+const PREFILL_DEPTH: u32 = 2;
 
 /// Disaggregated `sllm+c+s`. See module docs.
 ///
 /// Ordered containers only (`Vec`/`BTreeSet`/`BTreeMap`): hash-randomized
 /// iteration order must never reach placement decisions.
+#[derive(Default)]
 pub struct PdSllm {
-    queue: Vec<RunningRequest>,
-    timers: BTreeSet<RequestId>,
+    backlog: Backlog,
     prefill_insts: BTreeSet<InstanceId>,
-    pending: BTreeMap<u64, RunningRequest>,
-    /// Concurrent prefills a prefill instance accepts before scale-out.
-    prefill_depth: u32,
+    handoffs: Handoffs,
 }
 
 impl PdSllm {
     /// Creates the policy.
     pub fn new() -> Self {
-        PdSllm {
-            queue: Vec::new(),
-            timers: BTreeSet::new(),
-            prefill_insts: BTreeSet::new(),
-            pending: BTreeMap::new(),
-            prefill_depth: 2,
-        }
+        Self::default()
     }
 
-    fn free_slots(&self, w: &World, model: ModelId) -> Vec<(u8, NodeId, usize)> {
-        let mut slots = Vec::new();
-        for node in w.node_ids() {
-            if !w.node_schedulable(node) {
-                continue;
-            }
-            let hw = w.node_hw(node);
-            if !hw.can_serve(w.model_spec(model)) {
-                continue;
-            }
-            let rank = if hw.kind.is_cpu() { 0u8 } else { 1 };
-            for slot in 0..w.slot_count(node) {
-                if w.slot_instances(node, slot).is_empty() {
-                    slots.push((rank, node, slot));
-                }
-            }
-        }
-        slots.sort();
-        slots
-    }
-
-    fn create_on_free_slot(&mut self, w: &mut World, model: ModelId) -> Option<InstanceId> {
-        let spec = w.model_spec(model).clone();
-        let tp = spec.tp_degree.max(1) as usize;
-        let free = self.free_slots(w, model);
-        if tp > 1 {
-            // `free_slots` already filtered schedulability and servability.
-            return crate::groups::claim_slot_group(w, model, &free, tp, |_, _| true)
-                .map(|(inst, _)| inst);
-        }
-        // CPUs first, then warmest checkpoint tier (startup-time-estimated
-        // scheduling); ties keep the legacy (node, slot) order.
-        let mut order = crate::groups::score_free_slots(w, model, &free);
-        order.sort_unstable();
-        for (_, _, fi) in order {
-            let (_, node, slot) = free[fi];
-            let slot_mem = w.node_hw(node).mem_bytes / w.slot_count(node) as u64;
-            let grant = slot_mem.saturating_sub(spec.weights_bytes()).min(
-                w.node_available_bytes(node)
-                    .saturating_sub(spec.weights_bytes()),
-            );
-            if grant == 0 {
-                continue;
-            }
-            if w.create_instance(model, node, slot, grant).is_ok() {
-                return w.slot_instances(node, slot).last().copied();
-            }
-        }
-        None
+    /// Launches a new instance of `model` on idle slots of a node that can
+    /// serve it.
+    fn launch(w: &mut World, model: ModelId) -> Option<InstanceId> {
+        let free = free_slots(w);
+        claim_slot_group(w, model, &free, |w, node| {
+            w.node_hw(node).can_serve(w.model_spec(model))
+        })
+        .map(|(inst, _)| inst)
     }
 
     fn try_place_prefill(&mut self, w: &mut World, rr: &RunningRequest) -> bool {
         let model = rr.req.model;
         let open = w.model_instances(model).iter().copied().find(|&inst| {
             let live = w.instance(inst).map(|i| i.live_count()).unwrap_or(u32::MAX);
-            self.prefill_insts.contains(&inst) && live < self.prefill_depth
+            self.prefill_insts.contains(&inst) && live < PREFILL_DEPTH
         });
         if let Some(inst) = open {
             w.admit(inst, rr.clone());
             return true;
         }
-        if let Some(inst) = self.create_on_free_slot(w, model) {
+        if let Some(inst) = Self::launch(w, model) {
             self.prefill_insts.insert(inst);
             w.admit(inst, rr.clone());
             return true;
@@ -146,7 +104,7 @@ impl PdSllm {
                 false => continue, // KV grant full; try the next instance
             }
         }
-        if let Some(inst) = self.create_on_free_slot(w, model) {
+        if let Some(inst) = Self::launch(w, model) {
             if w.admit_decoding(inst, rr.clone()) {
                 return Ok(());
             }
@@ -154,32 +112,12 @@ impl PdSllm {
         Err(rr)
     }
 
-    fn enqueue(&mut self, w: &mut World, rr: RunningRequest) {
-        let deadline = rr.next_deadline(&w.slo_for(&rr.req));
-        if w.now() >= deadline {
-            w.drop_request(&rr);
-            return;
-        }
-        if self.timers.insert(rr.req.id) {
-            w.set_timer(deadline - w.now(), rr.req.id.0);
-        }
-        self.queue.push(rr);
-    }
-
     fn retry_queue(&mut self, w: &mut World) {
-        for rr in std::mem::take(&mut self.queue) {
-            if w.now() >= rr.next_deadline(&w.slo_for(&rr.req)) {
-                w.drop_request(&rr);
-            } else if !self.try_place_prefill(w, &rr) {
-                self.queue.push(rr);
+        for rr in self.backlog.take_live(w) {
+            if !self.try_place_prefill(w, &rr) {
+                self.backlog.requeue(rr);
             }
         }
-    }
-}
-
-impl Default for PdSllm {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -190,7 +128,7 @@ impl Policy for PdSllm {
 
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         if !self.try_place_prefill(w, &rr) {
-            self.enqueue(w, rr);
+            self.backlog.push(w, rr);
         }
     }
 
@@ -223,18 +161,9 @@ impl Policy for PdSllm {
     }
 
     fn on_prefill_done(&mut self, w: &mut World, inst: InstanceId, req: RequestId) {
-        if !self.prefill_insts.contains(&inst) {
-            return;
+        if self.prefill_insts.contains(&inst) {
+            self.handoffs.ship(w, inst, req);
         }
-        let now = w.now();
-        let rr = w
-            .instance_mut(inst)
-            .expect("prefill instance exists")
-            .remove_for_handoff(req, now);
-        let delay = w.kv_transfer_delay(rr.req.model, rr.context_tokens());
-        w.schedule_keepalive(inst);
-        self.pending.insert(req.0, rr);
-        w.set_timer(delay, TAG_HANDOFF | req.0);
     }
 
     fn on_load_done(&mut self, w: &mut World, _inst: InstanceId) {
@@ -246,11 +175,7 @@ impl Policy for PdSllm {
     }
 
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
-        let idle = w
-            .instance(inst)
-            .map(|i| !i.has_live_requests() && !i.busy && !i.scaling)
-            .unwrap_or(false);
-        if idle {
+        if w.instance(inst).is_some_and(|i| i.is_idle()) {
             self.prefill_insts.remove(&inst);
             w.unload_instance(inst);
             self.retry_queue(w);
@@ -258,37 +183,15 @@ impl Policy for PdSllm {
     }
 
     fn on_timer(&mut self, w: &mut World, payload: u64) {
-        if payload & TAG_HANDOFF != 0 {
-            let key = payload & !TAG_HANDOFF;
-            let Some(rr) = self.pending.remove(&key) else {
-                return;
-            };
-            match self.try_place_decode(w, rr) {
-                Ok(()) => {}
-                Err(rr) => {
-                    // No decode capacity yet: back off briefly, give up when
-                    // hopeless (well past the running deadline).
-                    let hopeless = w.now()
-                        > rr.next_deadline(&w.slo_for(&rr.req)) + SimDuration::from_secs(10);
-                    if hopeless {
-                        w.drop_request(&rr);
-                    } else {
-                        self.pending.insert(key, rr);
-                        w.set_timer(SimDuration::from_millis(100), TAG_HANDOFF | key);
-                    }
-                }
-            }
+        if !Handoffs::is_timer(payload) {
+            self.backlog.expire(w, RequestId(payload));
             return;
         }
-        let id = RequestId(payload);
-        self.timers.remove(&id);
-        let now = w.now();
-        for rr in std::mem::take(&mut self.queue) {
-            if rr.req.id == id && now >= rr.next_deadline(&w.slo_for(&rr.req)) {
-                w.drop_request(&rr);
-            } else {
-                self.queue.push(rr);
-            }
+        let Some(rr) = self.handoffs.arrive(payload) else {
+            return;
+        };
+        if let Err(rr) = self.try_place_decode(w, rr) {
+            self.handoffs.retry(w, rr);
         }
     }
 }
@@ -298,7 +201,7 @@ mod tests {
     use super::*;
     use cluster::{ClusterSpec, Simulation, WorldConfig};
     use hwmodel::{ModelSpec, NoiseModel};
-    use simcore::time::SimTime;
+    use simcore::time::{SimDuration, SimTime};
     use workload::request::{Request, SloClass, Trace};
 
     fn quiet() -> WorldConfig {
@@ -341,6 +244,25 @@ mod tests {
             "request must complete across the handoff"
         );
         // Two pools ⇒ two cold starts for a single request.
+        assert_eq!(m.cold_starts, 2);
+    }
+
+    #[test]
+    fn oversized_model_takes_a_whole_split_node_per_pool() {
+        // 34B weights overflow a half-A100 slot, so each pool's instance
+        // takes the whole memory of an empty node, as under `sllm`.
+        let trace = mk_trace(vec![(0, 0, 512, 8)]);
+        let m = Simulation::new(
+            &ClusterSpec::statically_shared(0, 2),
+            vec![ModelSpec::codellama_34b()],
+            quiet(),
+            PdSllm::new(),
+        )
+        .run(&trace);
+        assert!(
+            m.records[0].completed.is_some(),
+            "the 34B request completes"
+        );
         assert_eq!(m.cold_starts, 2);
     }
 

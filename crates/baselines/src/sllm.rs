@@ -10,18 +10,22 @@
 //!
 //! Behaviour (§III-C): a request is routed to an existing instance of its
 //! model while that instance sits under its concurrency limit; otherwise a
-//! new instance is launched on an idle slot (exclusively owning the slot's
-//! memory); otherwise the request queues and is dropped once its TTFT SLO
-//! expires. Instances run vLLM-style continuous batching: pending prefills
-//! are scheduled eagerly (FIFO), decodes otherwise.
+//! new instance is launched on idle slots through the shared launch path
+//! ([`crate::groups`]: exclusive memory, the whole-node rule for oversized
+//! models, tensor-parallel groups); otherwise the request waits in a
+//! [`Backlog`] and is dropped once its TTFT SLO expires. Instances run
+//! vLLM-style continuous batching: pending prefills are scheduled eagerly
+//! (FIFO), decodes otherwise. What is specific to this policy is the
+//! routing above and its incremental retry pass over the backlog.
 
 use std::collections::BTreeSet;
 
-use cluster::{NodeId, Policy, World};
+use cluster::{evict_most_headroom, Backlog, NodeId, Policy, World};
 use engine::instance::{InstanceId, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
 use workload::request::{ModelId, RequestId};
 
+use crate::groups::{claim_slot_group, free_slots, FreeSlot};
 use crate::limits::concurrency_limit;
 
 /// Configuration of the `sllm` family.
@@ -63,13 +67,12 @@ impl SllmConfig {
 
 /// The ServerlessLLM-style policy. See module docs.
 ///
-/// Policy state is kept in ordered containers (`Vec` in arrival order,
-/// `BTreeSet`) so no iteration can leak hash-randomized order into
-/// placement decisions across processes.
+/// Its only mutable state is a [`Backlog`], built on ordered containers, so
+/// no iteration can leak hash-randomized order into placement decisions
+/// across processes.
 pub struct Sllm {
     cfg: SllmConfig,
-    queue: Vec<RunningRequest>,
-    timers: BTreeSet<RequestId>,
+    backlog: Backlog,
 }
 
 impl Sllm {
@@ -77,64 +80,23 @@ impl Sllm {
     pub fn new(cfg: SllmConfig) -> Self {
         Sllm {
             cfg,
-            queue: Vec::new(),
-            timers: BTreeSet::new(),
+            backlog: Backlog::default(),
         }
-    }
-
-    fn node_usable(&self, w: &World, node: NodeId, model: workload::request::ModelId) -> bool {
-        if !w.node_schedulable(node) {
-            return false;
-        }
-        let hw = w.node_hw(node);
-        if hw.kind.is_cpu() && !self.cfg.use_cpu {
-            return false;
-        }
-        hw.can_serve(w.model_spec(model))
     }
 
     fn instance_limit(&self, w: &World, inst: InstanceId) -> u32 {
-        let Some((node, _)) = w.instance_placement(inst) else {
+        let (Some((node, _)), Some(i)) = (w.instance_placement(inst), w.instance(inst)) else {
             return 0;
         };
-        let hw = w.node_hw(node);
         // A TP instance owns its whole slot group's compute share.
         let share = w.instance_share(inst);
-        let model = w.instance(inst).expect("placed").model;
-        concurrency_limit(w.model_spec(model), hw, share, &w.slo())
-    }
-
-    /// All currently idle slots, CPUs first (model-independent; per-model
-    /// usability is re-checked at placement time).
-    fn free_slots(&self, w: &World) -> Vec<(u8, NodeId, usize)> {
-        let mut slots: Vec<(u8, NodeId, usize)> = Vec::new();
-        for node in w.node_ids() {
-            if !w.node_schedulable(node) {
-                continue;
-            }
-            let rank = if w.node_hw(node).kind.is_cpu() {
-                0u8
-            } else {
-                1
-            };
-            for slot in 0..w.slot_count(node) {
-                if w.slot_instances(node, slot).is_empty() {
-                    slots.push((rank, node, slot));
-                }
-            }
-        }
-        slots.sort();
-        slots
+        concurrency_limit(w.model_spec(i.model), w.node_hw(node), share, &w.slo())
     }
 
     fn try_place(&mut self, w: &mut World, rr: &RunningRequest) -> bool {
-        if self.try_admit_existing(w, rr) {
-            return true;
-        }
         // Scan for idle slots only once admission has failed — on the hot
         // arrival path most requests land on an existing instance.
-        let mut free = self.free_slots(w);
-        self.try_create_on(w, rr, &mut free)
+        self.try_admit_existing(w, rr) || self.try_create_on(w, rr, &mut free_slots(w))
     }
 
     /// Routes the request to an existing instance of its model sitting
@@ -159,12 +121,7 @@ impl Sllm {
                 if !w.node_schedulable(node) {
                     return None;
                 }
-                let rank = if w.node_hw(node).kind.is_cpu() {
-                    0u8
-                } else {
-                    1
-                };
-                Some((rank, id))
+                Some((u8::from(!w.node_hw(node).kind.is_cpu()), id))
             })
             .collect();
         candidates.sort();
@@ -178,102 +135,21 @@ impl Sllm {
         false
     }
 
-    /// Launches a new instance against a maintained free-slot list: slots
-    /// are consumed from `free` as instances are created, so a retry pass
-    /// over the whole queue scans the cluster once instead of once per
-    /// request.
-    ///
-    /// Candidate slots are ordered ServerlessLLM-style by estimated
-    /// startup time from each node's warmest checkpoint tier (CPUs still
-    /// first; ties keep the legacy `(node, slot)` order, so the flat
-    /// default configuration replays byte-identically).
-    fn try_create_on(
-        &mut self,
-        w: &mut World,
-        rr: &RunningRequest,
-        free: &mut Vec<(u8, NodeId, usize)>,
-    ) -> bool {
+    /// Launches a new instance for `rr` against a maintained free-slot
+    /// list: the claimed slots leave `free`, so a retry pass over the whole
+    /// backlog scans the cluster once instead of once per request.
+    fn try_create_on(&self, w: &mut World, rr: &RunningRequest, free: &mut Vec<FreeSlot>) -> bool {
         let model = rr.req.model;
-        let tp = w.model_spec(model).tp_degree.max(1) as usize;
-        if tp > 1 {
-            return self.try_create_group(w, rr, free, tp);
-        }
-        // A new instance on an idle slot: CPUs first, warmest tier next.
-        let mut order = crate::groups::score_free_slots(w, model, free);
-        order.sort_unstable();
-        for (_, _, fi) in order {
-            let (_, node, slot) = free[fi];
-            if !self.node_usable(w, node, model) {
-                continue;
-            }
-            let spec = w.model_spec(model).clone();
-            // Exclusive ownership of the slot's memory share. Models whose
-            // weights exceed the share (34B on a half-A100) claim the whole
-            // node's memory instead, provided the node is empty — mirroring
-            // the paper's whole-node exception for oversized instances.
-            let slot_mem = w.node_hw(node).mem_bytes / w.slot_count(node) as u64;
-            let mem_budget = if spec.weights_bytes() + spec.kv_bytes_per_token() * 1024 > slot_mem
-                && w.node_instances(node).is_empty()
-            {
-                w.node_hw(node).mem_bytes
-            } else {
-                slot_mem
-            };
-            let grant = mem_budget.saturating_sub(spec.weights_bytes()).min(
-                w.node_available_bytes(node)
-                    .saturating_sub(spec.weights_bytes()),
-            );
-            if grant == 0 {
-                continue;
-            }
-            if w.create_instance(model, node, slot, grant).is_ok() {
-                let inst = *w.slot_instances(node, slot).last().expect("just created");
-                w.admit(inst, rr.clone());
-                free.remove(fi);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Launches a tensor-parallel instance on `tp` idle slots of one node,
-    /// consuming the claimed slots from `free`. The group exclusively owns
-    /// its slots' memory shares, mirroring the single-slot rule.
-    fn try_create_group(
-        &mut self,
-        w: &mut World,
-        rr: &RunningRequest,
-        free: &mut Vec<(u8, NodeId, usize)>,
-        tp: usize,
-    ) -> bool {
-        let model = rr.req.model;
-        let use_cpu = self.cfg.use_cpu;
-        let claimed = crate::groups::claim_slot_group(w, model, free, tp, |w, node| {
+        let claimed = claim_slot_group(w, model, free, |w, node| {
             let hw = w.node_hw(node);
-            w.node_schedulable(node)
-                && (!hw.kind.is_cpu() || use_cpu)
-                && hw.can_serve(w.model_spec(model))
+            (self.cfg.use_cpu || !hw.kind.is_cpu()) && hw.can_serve(w.model_spec(model))
         });
-        match claimed {
-            Some((inst, range)) => {
-                w.admit(inst, rr.clone());
-                free.drain(range);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn enqueue(&mut self, w: &mut World, rr: RunningRequest) {
-        let deadline = rr.next_deadline(&w.slo_for(&rr.req));
-        if w.now() >= deadline {
-            w.drop_request(&rr);
-            return;
-        }
-        if self.timers.insert(rr.req.id) {
-            w.set_timer(deadline - w.now(), rr.req.id.0);
-        }
-        self.queue.push(rr);
+        let Some((inst, slots)) = claimed else {
+            return false;
+        };
+        w.admit(inst, rr.clone());
+        free.drain(slots);
+        true
     }
 
     /// One incremental retry pass over the queue.
@@ -291,28 +167,22 @@ impl Sllm {
     ///    need an instance under its limit or a usable slot, and neither
     ///    can appear mid-pass), so the scan is skipped outright.
     fn retry_queue(&mut self, w: &mut World) {
-        if self.queue.is_empty() {
-            return;
-        }
         // Built lazily: a pass that only admits to existing instances (or
         // only drops) never scans the cluster at all.
-        let mut free: Option<Vec<(u8, NodeId, usize)>> = None;
+        let mut free: Option<Vec<FreeSlot>> = None;
         let mut full_models: BTreeSet<ModelId> = BTreeSet::new();
-        for rr in std::mem::take(&mut self.queue) {
-            if w.now() >= rr.next_deadline(&w.slo_for(&rr.req)) {
-                w.drop_request(&rr);
-            } else if full_models.contains(&rr.req.model) {
-                self.queue.push(rr);
-            } else if self.try_admit_existing(w, &rr) {
-                // Placed on an existing instance; slots untouched.
-            } else {
-                if free.is_none() {
-                    free = Some(self.free_slots(w));
-                }
-                if !self.try_create_on(w, &rr, free.as_mut().expect("just filled")) {
-                    full_models.insert(rr.req.model);
-                    self.queue.push(rr);
-                }
+        for rr in self.backlog.take_live(w) {
+            if full_models.contains(&rr.req.model) {
+                self.backlog.requeue(rr);
+                continue;
+            }
+            if self.try_admit_existing(w, &rr) {
+                continue; // placed on an existing instance; slots untouched
+            }
+            let free = free.get_or_insert_with(|| free_slots(w));
+            if !self.try_create_on(w, &rr, free) {
+                full_models.insert(rr.req.model);
+                self.backlog.requeue(rr);
             }
         }
     }
@@ -325,7 +195,7 @@ impl Policy for Sllm {
 
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         if !self.try_place(w, &rr) {
-            self.enqueue(w, rr);
+            self.backlog.push(w, rr);
         }
     }
 
@@ -376,56 +246,23 @@ impl Policy for Sllm {
     }
 
     fn on_alloc_failure(&mut self, w: &mut World, inst: InstanceId, _req: RequestId) {
-        // Static grants can overflow on pathological output lengths: evict
-        // the longest-headroom request back to the queue (vLLM's
-        // preempt-and-recompute).
-        let now = w.now();
-        let victim = w.instance(inst).and_then(|i| {
-            i.requests()
-                .iter()
-                .filter(|r| !matches!(r.phase, ReqPhase::Prefilling))
-                .max_by(|a, b| {
-                    a.headroom(now, &w.slo_for(&a.req))
-                        .partial_cmp(&b.headroom(now, &w.slo_for(&b.req)))
-                        .unwrap()
-                })
-                .map(|r| r.req.id)
-        });
-        if let Some(id) = victim {
-            let moved = w
-                .instance_mut(inst)
-                .expect("instance exists")
-                .remove_for_migration(id, now);
-            w.note_migration(&[id]);
+        // Static grants can overflow on pathological output lengths.
+        if let Some(moved) = evict_most_headroom(w, inst) {
             if !self.try_place(w, &moved) {
-                self.enqueue(w, moved);
+                self.backlog.push(w, moved);
             }
         }
     }
 
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
-        let idle = w
-            .instance(inst)
-            .map(|i| !i.has_live_requests() && !i.busy && !i.scaling)
-            .unwrap_or(false);
-        if idle {
+        if w.instance(inst).is_some_and(|i| i.is_idle()) {
             w.unload_instance(inst);
             self.retry_queue(w);
         }
     }
 
     fn on_timer(&mut self, w: &mut World, payload: u64) {
-        let id = RequestId(payload);
-        self.timers.remove(&id);
-        let now = w.now();
-        // Drop in place (keeping FIFO order) instead of rebuilding the
-        // whole queue for every expired timer.
-        if let Some(pos) = self.queue.iter().position(|rr| rr.req.id == id) {
-            if now >= self.queue[pos].next_deadline(&w.slo_for(&self.queue[pos].req)) {
-                let rr = self.queue.remove(pos);
-                w.drop_request(&rr);
-            }
-        }
+        self.backlog.expire(w, RequestId(payload));
     }
 }
 

@@ -115,11 +115,12 @@ pub fn run(cli: &Cli, r: &mut Report) {
     let mut analytic_dump: Vec<(String, u32, f64, f64, f64)> = Vec::new();
     for &size in sizes {
         let m1 = base_model(size);
-        let d_base = perf.decode_time_tp(&m1, &gang, 16, 16 * 2048, 1.0 / GPUS_PER_NODE as f64, 1);
+        let d_base = perf.decode_time(&m1, &gang, 16, 16 * 2048, 1.0 / GPUS_PER_NODE as f64);
         for tp in [1u32, 2, 4] {
             let share = tp as f64 / GPUS_PER_NODE as f64;
-            let p = perf.prefill_time_tp(&m1, &gang, 2048, share, tp);
-            let d = perf.decode_time_tp(&m1, &gang, 16, 16 * 2048, share, tp);
+            let mt = m1.clone().with_tp(tp);
+            let p = perf.prefill_time(&mt, &gang, 2048, share);
+            let d = perf.decode_time(&mt, &gang, 16, 16 * 2048, share);
             let speedup = d_base / d;
             analytic.row(&[
                 size.to_string(),

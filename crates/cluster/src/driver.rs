@@ -284,7 +284,6 @@ mod tests {
                     let id = w
                         .create_instance(rr.req.model, NodeId(0), 0, self.grant)
                         .expect("node 0 fits");
-                    w.note_cold_start_request(rr.req.id);
                     self.inst = Some(id);
                     id
                 }

@@ -19,7 +19,10 @@
 //!   counted as an OOM incident (§VII-C's hazard).
 //! - [`policy`] — the [`Policy`] trait: the callback surface (arrivals,
 //!   slot-free, load/scale completions, keep-alive, timers) that SLINFER and
-//!   all baselines implement.
+//!   all baselines implement, plus the request-lifecycle mechanics they
+//!   share: the expiring admission queue ([`Backlog`]), the PD KV handoff
+//!   ([`Handoffs`]) and the eviction that resolves a KV allocation failure
+//!   ([`evict_most_headroom`]).
 //! - [`driver`] — [`Simulation`]: the deterministic event loop, including
 //!   cluster-lifecycle events (node drain/fail/join) and their policy hook.
 //! - [`scenario`] — [`Scenario`]: composable run construction over four
@@ -51,7 +54,7 @@ pub use driver::Simulation;
 pub use hwmodel::CheckpointTier;
 pub use metrics::{RequestRecord, RunMetrics};
 pub use node::{ClusterSpec, NodeId, NodeSpec};
-pub use policy::Policy;
+pub use policy::{evict_most_headroom, Backlog, Handoffs, Policy};
 pub use scenario::Scenario;
 pub use sessions::SessionConfig;
 pub use world::{ClusterEvent, MemError, NodeHealth, World, WorldConfig};

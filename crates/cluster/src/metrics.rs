@@ -393,17 +393,6 @@ impl RunMetrics {
         (met, total)
     }
 
-    /// SLO attainment rate of one class in `[0, 1]` (1.0 when the class is
-    /// absent, matching [`Self::slo_rate`] on an empty run).
-    pub fn class_slo_rate(&self, class: SloClass) -> f64 {
-        let (met, total) = self.class_counts(class);
-        if total == 0 {
-            1.0
-        } else {
-            met as f64 / total as f64
-        }
-    }
-
     /// Attainment of every class present, ascending by class: the per-class
     /// breakdown reported alongside the aggregate [`Self::slo_rate`].
     pub fn class_attainment(&self) -> Vec<(SloClass, usize, usize)> {

@@ -25,7 +25,7 @@ use workload::request::{Slo, SloClass, Trace};
 
 use crate::driver::Simulation;
 use crate::metrics::RunMetrics;
-use crate::node::{ClusterSpec, NodeId, NodeSpec};
+use crate::node::{ClusterSpec, NodeId};
 use crate::policy::Policy;
 use crate::world::{ClusterEvent, WorldConfig};
 
@@ -184,11 +184,6 @@ impl Scenario {
         self.event(at, ClusterEvent::NodeFail(node))
     }
 
-    /// Schedules a node join.
-    pub fn join_at(self, at: SimTime, spec: NodeSpec) -> Self {
-        self.event(at, ClusterEvent::NodeJoin(spec))
-    }
-
     // ------------------------------------------------------------------
     // Inspection and execution
     // ------------------------------------------------------------------
@@ -243,6 +238,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeSpec;
     use crate::world::NodeHealth;
     use engine::instance::InstanceId;
     use engine::request::RunningRequest;

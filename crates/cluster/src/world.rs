@@ -5,8 +5,10 @@
 //! Policies receive `&mut World` in their callbacks and use its methods to
 //! admit requests, start iterations, create/unload instances, rescale KV
 //! grants, and set timers. Ground-truth execution times come from the
-//! calibrated [`AnalyticPerf`] model perturbed by [`NoiseModel`] — policies
-//! can *estimate* (noiseless) but never observe a duration before it
+//! calibrated [`AnalyticPerf`] model perturbed by [`NoiseModel`]. Policies
+//! can price an iteration noiselessly through [`World::perf`] (the same
+//! call `start_iteration` makes, before the noise) and a cold start through
+//! [`World::estimate_load_s`], but never observe a duration before it
 //! finishes, exactly like a real control plane.
 //!
 //! Physical memory is enforced at operation-issue time: a scale-up or
@@ -551,11 +553,6 @@ impl World {
         n.hw.mem_bytes.saturating_sub(n.committed)
     }
 
-    /// Bytes committed on a node (weights + KV grants + in-flight growth).
-    pub fn node_committed_bytes(&self, node: NodeId) -> u64 {
-        self.nodes[node.0 as usize].committed
-    }
-
     /// Number of slots on a node.
     pub fn slot_count(&self, node: NodeId) -> usize {
         self.nodes[node.0 as usize].slot_shares.len()
@@ -676,35 +673,6 @@ impl World {
     /// (SLINFER's quantifier samples this like it would a real node).
     pub fn perf(&self) -> &AnalyticPerf {
         &self.perf
-    }
-
-    /// Noiseless prefill estimate for an instance's placement (group share
-    /// and tensor-parallel overhead included).
-    pub fn estimate_prefill_s(&self, inst: InstanceId, len: u32) -> f64 {
-        let share = self.instance_share(inst);
-        let h = &self.instances[&inst];
-        self.perf.prefill_time_tp(
-            &h.inst.spec,
-            self.node_hw(h.node),
-            len.max(1),
-            share,
-            h.inst.tp,
-        )
-    }
-
-    /// Noiseless decode estimate for an instance's placement (group share
-    /// and tensor-parallel overhead included).
-    pub fn estimate_decode_s(&self, inst: InstanceId, batch: u32, total_ctx: u64) -> f64 {
-        let share = self.instance_share(inst);
-        let h = &self.instances[&inst];
-        self.perf.decode_time_tp(
-            &h.inst.spec,
-            self.node_hw(h.node),
-            batch,
-            total_ctx,
-            share,
-            h.inst.tp,
-        )
     }
 
     /// True when a cold start of `model` on `node` would be served from
@@ -1282,16 +1250,15 @@ impl World {
         if let Some((sid, tokens)) = migrated {
             h.inst.import_session(sid, tokens);
         }
-        let tp = h.inst.tp;
         let base = match kind {
             IterationKind::Prefill(req) => {
                 let ps = match h.inst.begin_prefill(req) {
                     Some(ps) => ps,
                     None => return Err(StartError::KvExhausted(req)),
                 };
-                let mut base =
-                    self.perf
-                        .prefill_time_tp(&h.inst.spec, &hw, ps.compute_tokens, share, tp);
+                let mut base = self
+                    .perf
+                    .prefill_time(&h.inst.spec, &hw, ps.compute_tokens, share);
                 if ps.cached_tokens > 0 {
                     self.metrics.record_mut(req).prefix_cached = ps.cached_tokens;
                     match migrated {
@@ -1310,8 +1277,7 @@ impl World {
             }
             IterationKind::Decode => {
                 let (bs, ctx) = h.inst.begin_decode();
-                self.perf
-                    .decode_time_tp(&h.inst.spec, &hw, bs, ctx, share, tp)
+                self.perf.decode_time(&h.inst.spec, &hw, bs, ctx, share)
             }
         };
         let dur = SimDuration::from_secs_f64(self.cfg.noise.apply(base, &mut self.rng));
@@ -1396,10 +1362,7 @@ impl World {
     pub fn unload_instance(&mut self, inst: InstanceId) {
         // detlint::allow(D005, "documented # Panics contract: unloads name instances the policy holds")
         let h = self.instances.remove(&inst).expect("unknown instance");
-        assert!(
-            !h.inst.has_live_requests() && !h.inst.busy && !h.inst.scaling,
-            "unloading a non-idle instance"
-        );
+        assert!(h.inst.is_idle(), "unloading a non-idle instance");
         self.index.remove(
             inst,
             h.node.0 as usize,
@@ -1478,11 +1441,6 @@ impl World {
     /// Records a shadow validation (accepted or rejected).
     pub fn note_shadow_validation(&mut self) {
         self.metrics.shadow_validations += 1;
-    }
-
-    /// Marks the record of a cold-start-triggering request.
-    pub fn note_cold_start_request(&mut self, id: RequestId) {
-        self.metrics.record_mut(id).cold_start = true;
     }
 
     // ------------------------------------------------------------------

@@ -5,7 +5,7 @@
 use cluster::{ClusterSpec, MemError, NodeId, World, WorldConfig};
 use engine::instance::InstanceId;
 use engine::request::RunningRequest;
-use hwmodel::{HardwareKind, ModelSpec, NoiseModel};
+use hwmodel::{HardwareKind, ModelSpec, NoiseModel, PerfOracle};
 use simcore::time::SimTime;
 use workload::request::{ModelId, Request, RequestId, SloClass};
 
@@ -107,6 +107,28 @@ fn oversized_scale_up_is_rejected_and_counted() {
     );
 }
 
+/// The noiseless prefill time `start_iteration` charges `inst` for `len`
+/// tokens: its spec on its node's hardware at its slot group's share.
+fn prefill_s(w: &World, inst: InstanceId, len: u32) -> f64 {
+    let (node, _) = w.instance_placement(inst).expect("placed");
+    let spec = &w.instance(inst).expect("placed").spec;
+    w.perf()
+        .prefill_time(spec, w.node_hw(node), len, w.instance_share(inst))
+}
+
+/// The decode twin of [`prefill_s`].
+fn decode_s(w: &World, inst: InstanceId, batch: u32, total_ctx: u64) -> f64 {
+    let (node, _) = w.instance_placement(inst).expect("placed");
+    let spec = &w.instance(inst).expect("placed").spec;
+    w.perf().decode_time(
+        spec,
+        w.node_hw(node),
+        batch,
+        total_ctx,
+        w.instance_share(inst),
+    )
+}
+
 #[test]
 fn estimates_are_noiseless_and_placement_aware() {
     let mut w = world();
@@ -116,16 +138,14 @@ fn estimates_are_noiseless_and_placement_aware() {
     let gpu_inst = w
         .create_instance(ModelId(0), NodeId(1), 0, 4 * GB)
         .expect("fits");
-    let cpu_t = w.estimate_prefill_s(cpu_inst, 1024);
-    let gpu_t = w.estimate_prefill_s(gpu_inst, 1024);
+    let cpu_t = prefill_s(&w, cpu_inst, 1024);
+    let gpu_t = prefill_s(&w, gpu_inst, 1024);
     assert!(
         cpu_t > gpu_t * 3.0,
         "CPU prefill far slower: {cpu_t} vs {gpu_t}"
     );
-    // Repeated estimates are identical (no noise).
-    assert_eq!(cpu_t, w.estimate_prefill_s(cpu_inst, 1024));
     // Decode estimate grows with batch.
-    assert!(w.estimate_decode_s(gpu_inst, 8, 8192) > w.estimate_decode_s(gpu_inst, 1, 1024));
+    assert!(decode_s(&w, gpu_inst, 8, 8192) > decode_s(&w, gpu_inst, 1, 1024));
     // Load estimate matches the loader bandwidth ballpark.
     let load = w.estimate_load_s(ModelId(0), NodeId(1));
     assert!((0.8..1.2).contains(&load), "7B GPU load {load}");
@@ -275,14 +295,14 @@ fn tp_group_estimates_pay_the_interconnect() {
     let two = w
         .create_instance_group(ModelId(1), NodeId(0), &[1, 2], 4 * GB)
         .expect("fits");
-    let t1 = w.estimate_prefill_s(one, 2048);
-    let t2 = w.estimate_prefill_s(two, 2048);
+    let t1 = prefill_s(&w, one, 2048);
+    let t2 = prefill_s(&w, two, 2048);
     // Two devices are faster than one, but sublinearly: the all-reduce
     // term discounts the doubled compute.
     assert!(t2 < t1, "TP=2 must beat TP=1: {t2} vs {t1}");
     assert!(t2 > t1 / 2.0, "TP=2 must be under 2x: {t2} vs {t1}");
-    let d1 = w.estimate_decode_s(one, 16, 16 * 1024);
-    let d2 = w.estimate_decode_s(two, 16, 16 * 1024);
+    let d1 = decode_s(&w, one, 16, 16 * 1024);
+    let d2 = decode_s(&w, two, 16, 16 * 1024);
     assert!(d2 < d1 && d2 > d1 / 2.0, "decode discount: {d2} vs {d1}");
 }
 

@@ -20,12 +20,6 @@ pub struct SlinferConfig {
     pub enable_sharing: bool,
     /// Proactive preemption + reactive bin-packing (§VIII).
     pub enable_consolidation: bool,
-    /// Prior for a model's mean output length before history accumulates
-    /// (tokens).
-    pub default_avg_output: f64,
-    /// Floor of the KV demand estimate, in tokens (§VII-A sets it to the
-    /// model's maximum context length; `None` keeps that behaviour).
-    pub l_min_tokens: Option<u32>,
     /// Prefill–decode disaggregation (§IX-G, Table III): dedicated prefill
     /// instances hand requests to decode instances over the network. Off by
     /// default — the paper shows it wastes resources in serverless settings.
@@ -40,8 +34,6 @@ impl Default for SlinferConfig {
             enable_cpu: true,
             enable_sharing: true,
             enable_consolidation: true,
-            default_avg_output: 256.0,
-            l_min_tokens: None,
             pd_disaggregate: false,
         }
     }
@@ -91,9 +83,6 @@ impl SlinferConfig {
         }
         if self.overestimate < 1.0 {
             return Err(format!("overestimate {} must be >= 1", self.overestimate));
-        }
-        if self.default_avg_output <= 0.0 {
-            return Err("default_avg_output must be positive".into());
         }
         Ok(())
     }

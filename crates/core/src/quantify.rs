@@ -58,15 +58,12 @@ impl Quantifier {
         batches.push(max_batch.max(1));
         batches.dedup();
 
-        // Tensor-parallel deployments are sampled with their collective
-        // overhead folded in (the quantifier times whole iterations on the
-        // deployed topology); degree-1 models hit the identical code path
-        // as before, sample for sample.
-        let tp = model.tp_degree.max(1);
+        // The oracle times whole iterations on the deployed topology, so a
+        // tensor-parallel model's samples include its all-reduce overhead.
         let prefill = lengths
             .iter()
             .map(|&len| {
-                let t = oracle.prefill_time_tp(model, hw, len, share, tp);
+                let t = oracle.prefill_time(model, hw, len, share);
                 (len, noise.apply(t, rng))
             })
             .collect();
@@ -76,8 +73,7 @@ impl Quantifier {
                 lengths
                     .iter()
                     .map(|&len| {
-                        let t =
-                            oracle.decode_time_tp(model, hw, bs, bs as u64 * len as u64, share, tp);
+                        let t = oracle.decode_time(model, hw, bs, bs as u64 * len as u64, share);
                         noise.apply(t, rng)
                     })
                     .collect()

@@ -13,7 +13,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cluster::{ClusterEvent, MemError, NodeId, Policy, World};
+use cluster::{
+    evict_most_headroom, Backlog, ClusterEvent, Handoffs, MemError, NodeId, Policy, World,
+};
 use engine::instance::{InstanceId, InstanceState, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
 use hwmodel::HardwareSpec;
@@ -26,11 +28,12 @@ use crate::memory::{recommend_bytes, should_scale_down, MemoryPlanner, ScaleDeci
 use crate::quantify::QuantifierSet;
 use crate::shadow::{validate, InstView, ShadowReq, Verdict};
 
-/// Timer-payload tag distinguishing PD handoff timers from drop timers.
-const TAG_HANDOFF: u64 = 1 << 63;
-
 /// Timer-payload tag for the periodic liveness sweep.
 const TAG_SWEEP: u64 = 1 << 62;
+
+/// Prior for a model's mean output length before history accumulates
+/// (tokens).
+const DEFAULT_AVG_OUTPUT: f64 = 256.0;
 
 /// Liveness sweep period.
 const SWEEP_PERIOD: SimDuration = SimDuration::from_millis(500);
@@ -51,10 +54,8 @@ pub struct Slinfer {
     planner: Option<MemoryPlanner>,
     /// Per-model historical output lengths: (sum, count).
     avg_out: BTreeMap<u32, (f64, u64)>,
-    /// Requests awaiting placement, with their drop deadlines.
-    queue: Vec<RunningRequest>,
-    /// Requests that already have a drop timer registered.
-    timers: BTreeSet<RequestId>,
+    /// Requests awaiting placement, with their drop timers.
+    backlog: Backlog,
     /// When each slot's in-flight iteration ends (shadow start times).
     busy_until: BTreeMap<(u32, usize), SimTime>,
     /// Approved scale ops waiting for their instance to be free. Ordered:
@@ -69,7 +70,7 @@ pub struct Slinfer {
     /// PD mode: instances dedicated to prefill (§IX-G).
     prefill_insts: BTreeSet<InstanceId>,
     /// PD mode: requests in flight between prefill and decode instances.
-    pending_handoff: BTreeMap<u64, RunningRequest>,
+    handoffs: Handoffs,
 }
 
 impl Slinfer {
@@ -84,20 +85,14 @@ impl Slinfer {
             quant: QuantifierSet::new(0x51F3),
             planner: None,
             avg_out: BTreeMap::new(),
-            queue: Vec::new(),
-            timers: BTreeSet::new(),
+            backlog: Backlog::default(),
             busy_until: BTreeMap::new(),
             wanted_scale: BTreeMap::new(),
             issued_scale: BTreeMap::new(),
             expected_active: BTreeMap::new(),
             prefill_insts: BTreeSet::new(),
-            pending_handoff: BTreeMap::new(),
+            handoffs: Handoffs::default(),
         }
-    }
-
-    /// Read access to the configuration.
-    pub fn config(&self) -> &SlinferConfig {
-        &self.cfg
     }
 
     fn ensure_init(&mut self, w: &mut World) {
@@ -115,14 +110,14 @@ impl Slinfer {
     fn avg_output(&self, model: ModelId) -> f64 {
         match self.avg_out.get(&model.0) {
             Some(&(sum, n)) if n > 0 => sum / n as f64,
-            _ => self.cfg.default_avg_output,
+            _ => DEFAULT_AVG_OUTPUT,
         }
     }
 
-    fn l_min(&self, w: &World, model: ModelId) -> u32 {
-        self.cfg
-            .l_min_tokens
-            .unwrap_or_else(|| w.model_spec(model).max_context)
+    /// Floor of the KV demand estimate, in tokens: the model's maximum
+    /// context length (§VII-A's `L_min`).
+    fn l_min(w: &World, model: ModelId) -> u32 {
+        w.model_spec(model).max_context
     }
 
     fn node_allowed(&self, w: &World, node: NodeId, model: ModelId) -> bool {
@@ -303,7 +298,7 @@ impl Slinfer {
     fn required_with(&self, w: &World, inst: InstanceId, rr: &RunningRequest) -> u64 {
         let i = w.instance(inst).expect("instance exists");
         let avg = self.avg_output(i.model);
-        let lmin = self.l_min(w, i.model);
+        let lmin = Self::l_min(w, i.model);
         let mut sum: f64 = i
             .requests()
             .iter()
@@ -449,7 +444,7 @@ impl Slinfer {
             return;
         }
         let avg = self.avg_output(i.model);
-        let lmin = self.l_min(w, i.model);
+        let lmin = Self::l_min(w, i.model);
         let require = i.kv_required_bytes(avg, lmin);
         let recommend = recommend_bytes(require, self.cfg.watermark);
         let cur = i.kv_capacity_bytes();
@@ -589,7 +584,7 @@ impl Slinfer {
         w.note_migration(&victim_reqs);
         for moved in drained {
             if !self.try_place(w, &moved, false) {
-                self.enqueue(w, moved);
+                self.backlog.push(w, moved);
             }
         }
         // Now retry the target's memory path and admit.
@@ -606,7 +601,7 @@ impl Slinfer {
         let model = rr.req.model;
         let spec = w.model_spec(model).clone();
         let avg = self.avg_output(model);
-        let lmin = self.l_min(w, model);
+        let lmin = Self::l_min(w, model);
         let first_tokens = (rr.prefill_len() as f64 + avg).max(lmin as f64);
         let require = (first_tokens * spec.kv_bytes_per_token() as f64).ceil() as u64;
         let grant = recommend_bytes(require, self.cfg.watermark);
@@ -753,28 +748,11 @@ impl Slinfer {
         Err(rr)
     }
 
-    fn enqueue(&mut self, w: &mut World, rr: RunningRequest) {
-        let deadline = rr.next_deadline(&w.slo_for(&rr.req));
-        if w.now() >= deadline {
-            w.drop_request(&rr);
-            return;
-        }
-        if self.timers.insert(rr.req.id) {
-            w.set_timer(deadline - w.now(), rr.req.id.0);
-        }
-        self.queue.push(rr);
-    }
-
+    /// Offers every live queued request the full admission pipeline again.
     fn retry_queue(&mut self, w: &mut World) {
-        if self.queue.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.queue);
-        for rr in pending {
-            if w.now() >= rr.next_deadline(&w.slo_for(&rr.req)) {
-                w.drop_request(&rr);
-            } else if !self.try_place(w, &rr, true) {
-                self.queue.push(rr);
+        for rr in self.backlog.take_live(w) {
+            if !self.try_place(w, &rr, true) {
+                self.backlog.requeue(rr);
             }
         }
     }
@@ -837,7 +815,7 @@ impl Policy for Slinfer {
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         self.ensure_init(w);
         if !self.try_place(w, &rr, true) {
-            self.enqueue(w, rr);
+            self.backlog.push(w, rr);
         }
     }
 
@@ -896,7 +874,7 @@ impl Policy for Slinfer {
                     let require = {
                         let Some(i) = w.instance(inst) else { continue };
                         let avg = self.avg_output(i.model);
-                        let lmin = self.l_min(w, i.model);
+                        let lmin = Self::l_min(w, i.model);
                         i.kv_required_bytes(avg, lmin)
                     };
                     let _ = self.plan_grow(w, inst, require);
@@ -911,18 +889,9 @@ impl Policy for Slinfer {
     }
 
     fn on_prefill_done(&mut self, w: &mut World, inst: InstanceId, req: RequestId) {
-        if !self.cfg.pd_disaggregate || !self.prefill_insts.contains(&inst) {
-            return;
+        if self.cfg.pd_disaggregate && self.prefill_insts.contains(&inst) {
+            self.handoffs.ship(w, inst, req);
         }
-        let now = w.now();
-        let rr = w
-            .instance_mut(inst)
-            .expect("prefill instance exists")
-            .remove_for_handoff(req, now);
-        w.schedule_keepalive(inst);
-        let delay = w.kv_transfer_delay(rr.req.model, rr.context_tokens());
-        self.pending_handoff.insert(req.0, rr);
-        w.set_timer(delay, TAG_HANDOFF | req.0);
     }
 
     fn on_scale_done(&mut self, w: &mut World, inst: InstanceId) {
@@ -952,7 +921,7 @@ impl Policy for Slinfer {
             )
         };
         let avg = self.avg_output(model);
-        let lmin = self.l_min(w, model);
+        let lmin = Self::l_min(w, model);
         let require = w
             .instance(inst)
             .map(|i| i.kv_required_bytes(avg, lmin))
@@ -961,37 +930,19 @@ impl Policy for Slinfer {
         if self.future_grant(w, inst) >= require || self.plan_grow(w, inst, require) {
             return; // relief is (or will be) on the way
         }
-        // Evict the longest-headroom request.
-        let now = w.now();
-        let victim_req = w.instance(inst).and_then(|i| {
-            i.requests()
-                .iter()
-                .filter(|r| !matches!(r.phase, ReqPhase::Prefilling))
-                .max_by(|a, b| {
-                    // total_cmp: identical to partial_cmp on the non-NaN
-                    // headrooms this sees, but can never panic mid-run.
-                    a.headroom(now, &w.slo_for(&a.req))
-                        .total_cmp(&b.headroom(now, &w.slo_for(&b.req)))
-                })
-                .map(|r| r.req.id)
-        });
-        let Some(vid) = victim_req else { return };
-        let moved = w
-            .instance_mut(inst)
-            .expect("instance exists")
-            .remove_for_migration(vid, now);
-        w.note_migration(&[vid]);
+        let Some(moved) = evict_most_headroom(w, inst) else {
+            return;
+        };
         // Never bounce the eviction straight back onto the starved instance.
         if !self.try_place_excluding(w, &moved, false, Some(inst)) {
-            self.enqueue(w, moved);
+            self.backlog.push(w, moved);
         }
     }
 
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
-        let Some(i) = w.instance(inst) else { return };
-        if i.has_live_requests() || i.busy || i.scaling {
+        let Some(i) = w.instance(inst).filter(|i| i.is_idle()) else {
             return;
-        }
+        };
         let Some((node, _)) = w.instance_placement(inst) else {
             return;
         };
@@ -1057,7 +1008,7 @@ impl Policy for Slinfer {
         // onto other nodes.
         for rr in displaced {
             if !self.try_place(w, &rr, true) {
-                self.enqueue(w, rr);
+                self.backlog.push(w, rr);
             }
         }
         self.retry_queue(w);
@@ -1082,37 +1033,16 @@ impl Policy for Slinfer {
             w.set_timer(SWEEP_PERIOD, TAG_SWEEP);
             return;
         }
-        if payload & TAG_HANDOFF != 0 {
-            let key = payload & !TAG_HANDOFF;
-            let Some(rr) = self.pending_handoff.remove(&key) else {
+        if Handoffs::is_timer(payload) {
+            let Some(rr) = self.handoffs.arrive(payload) else {
                 return;
             };
-            match self.place_decode(w, rr) {
-                Ok(()) => {}
-                Err(rr) => {
-                    if w.now() > rr.next_deadline(&w.slo_for(&rr.req)) + SimDuration::from_secs(10)
-                    {
-                        w.drop_request(&rr);
-                    } else {
-                        self.pending_handoff.insert(key, rr);
-                        w.set_timer(SimDuration::from_millis(100), TAG_HANDOFF | key);
-                    }
-                }
+            if let Err(rr) = self.place_decode(w, rr) {
+                self.handoffs.retry(w, rr);
             }
             return;
         }
-        let id = RequestId(payload);
-        self.timers.remove(&id);
-        let now = w.now();
-        let mut kept = Vec::with_capacity(self.queue.len());
-        for rr in std::mem::take(&mut self.queue) {
-            if rr.req.id == id && now >= rr.next_deadline(&w.slo_for(&rr.req)) {
-                w.drop_request(&rr);
-            } else {
-                kept.push(rr);
-            }
-        }
-        self.queue = kept;
+        self.backlog.expire(w, RequestId(payload));
     }
 }
 

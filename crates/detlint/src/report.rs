@@ -17,7 +17,7 @@ pub enum Rule {
     D003,
     /// Process environment read outside the CLI intake allowlist.
     D004,
-    /// `unwrap`/`expect`/`panic!` in the World/driver hot path.
+    /// `unwrap`/`expect`/`panic!` in a hot path (`[hot-paths]`).
     D005,
     /// Registry ⟷ goldens cross-check (orphan or missing golden).
     D006,
@@ -58,7 +58,7 @@ impl Rule {
             Rule::D002 => "iteration over a hash container (order leaks into fingerprints)",
             Rule::D003 => "wall-clock or OS entropy outside the timing allowlist",
             Rule::D004 => "std::env read outside the CLI intake allowlist",
-            Rule::D005 => "unwrap/expect/panic! in the World/driver hot path",
+            Rule::D005 => "unwrap/expect/panic! in a hot path",
             Rule::D006 => "experiment registry and goldens set out of sync",
         }
     }

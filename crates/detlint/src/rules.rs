@@ -92,7 +92,7 @@ pub struct FileCtx<'a> {
     pub d003_allow: &'a [String],
     /// Paths (exact match) where D004 is permitted (CLI intake).
     pub d004_allow: &'a [String],
-    /// Paths D005 applies to (the World/driver hot path).
+    /// Paths D005 applies to (the `[hot-paths]` list).
     pub d005_paths: &'a [String],
 }
 
@@ -297,7 +297,7 @@ pub fn check_tokens(ctx: &FileCtx<'_>, tokens: &[Token]) -> Vec<Diagnostic> {
                     ctx.path,
                     line,
                     format!(
-                        "`{what}` in the World/driver hot path — handle the failure or \
+                        "`{what}` in a hot path — handle the failure or \
                          justify the invariant with detlint::allow"
                     ),
                 ));

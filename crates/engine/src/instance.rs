@@ -84,10 +84,6 @@ pub struct Instance {
     pub model: ModelId,
     /// Model shape/precision (sizing, performance).
     pub spec: ModelSpec,
-    /// Tensor-parallel degree: how many node slots this instance spans
-    /// (mirrors `spec.tp_degree`; 1 for plain single-slot instances). The
-    /// cluster layer claims the matching slot group at placement time.
-    pub tp: u32,
     /// Lifecycle state.
     pub state: InstanceState,
     /// Live requests in all phases (finished ones are removed).
@@ -138,12 +134,10 @@ impl Instance {
         now: SimTime,
     ) -> Self {
         let pool = BlockPool::new(spec.kv_bytes_per_token(), kv_grant_bytes);
-        let tp = spec.tp_degree.max(1);
         Instance {
             id,
             model,
             spec,
-            tp,
             state: InstanceState::Loading,
             requests: Vec::new(),
             pool,
@@ -233,6 +227,12 @@ impl Instance {
     /// True if any live request exists (even mid-iteration).
     pub fn has_live_requests(&self) -> bool {
         !self.requests.is_empty()
+    }
+
+    /// True when nothing runs or waits here: no live request, no
+    /// iteration, no KV rescale. Only an idle instance may be unloaded.
+    pub fn is_idle(&self) -> bool {
+        !self.has_live_requests() && !self.busy && !self.scaling
     }
 
     /// The most urgent schedulable work: minimum headroom over waiting
@@ -493,12 +493,6 @@ impl Instance {
     /// Ids of all sessions with parked KV here (ascending).
     pub fn session_ids(&self) -> Vec<u64> {
         self.session_kv.keys().copied().collect()
-    }
-
-    /// Bytes held by parked session KV.
-    pub fn session_kv_bytes(&self) -> u64 {
-        let blocks: u64 = self.session_kv.values().map(|e| e.blocks).sum();
-        blocks * self.pool.block_bytes()
     }
 
     /// Removes and frees `session`'s parked KV, returning its cached token
@@ -964,8 +958,7 @@ mod tests {
     }
 
     #[test]
-    fn tp_degree_mirrors_spec() {
-        assert_eq!(inst(8).tp, 1);
+    fn tp_footprint_counts_the_whole_group() {
         let i = Instance::new(
             InstanceId(9),
             ModelId(0),
@@ -973,7 +966,6 @@ mod tests {
             1_000_000_000,
             SimTime::ZERO,
         );
-        assert_eq!(i.tp, 4);
         // The footprint is the whole group's: weights are sharded across
         // the slots but the node ledger accounts the total.
         assert_eq!(i.footprint_bytes(), i.spec.weights_bytes() + 1_000_000_000);

@@ -319,11 +319,6 @@ impl HardwareSpec {
             HardwareKind::CpuLegacy => false,
         }
     }
-
-    /// Memory in GB (for display).
-    pub fn mem_gb(&self) -> f64 {
-        self.mem_bytes as f64 / 1e9
-    }
 }
 
 /// One gigabyte (10^9 bytes) — the unit the paper uses throughout.

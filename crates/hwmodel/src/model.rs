@@ -191,11 +191,6 @@ impl ModelSpec {
     pub fn kv_bytes_per_token(&self) -> u64 {
         2 * self.layers as u64 * self.kv_heads as u64 * self.head_dim as u64 * 2
     }
-
-    /// Parameter count in billions (for display).
-    pub fn params_b(&self) -> f64 {
-        self.params as f64 / 1e9
-    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@
 //!   `t = weights/BW + B·2P/C_dec + Σctx·kv_per_token/BW` — a weights pass
 //!   shared by the whole batch (why batching is sub-linear, Fig. 7), a
 //!   per-sequence compute term, and the KV-read term that grows with context.
+//! - **Tensor parallelism**: a model deployed at TP degree `k > 1` adds
+//!   its ring all-reduce time ([`AnalyticPerf::tp_comm_time`]) to every
+//!   prefill and decode iteration; degree 1 adds nothing.
 //! - **Load**: weights / tier bandwidth, where the tier is the warmest
 //!   [`CheckpointTier`] holding the checkpoint (HBM co-resident copy, DRAM
 //!   cache, local SSD, or a remote registry fetch — ServerlessLLM's
@@ -27,11 +30,15 @@
 use crate::hardware::{CheckpointTier, HardwareSpec};
 use crate::model::ModelSpec;
 
-/// A source of iteration-time estimates.
+/// A source of iteration-time estimates: what the simulator charges an
+/// iteration ([`AnalyticPerf`] is the one implementation) and what
+/// `slinfer`'s quantifier samples to build its interpolated profile
+/// (§VI-B).
 ///
-/// Implemented by [`AnalyticPerf`] (ground truth) and by `slinfer`'s
-/// interpolating quantifier; both sides of the estimation-error experiment
-/// (§VI-B: 5.9% TTFT / 3.9% TPOT deviation) speak this trait.
+/// An iteration is timed on the model's deployed topology: `share` is the
+/// summed compute share of the slots the instance spans, and a
+/// tensor-parallel model (`model.tp_degree > 1`) also pays its all-reduce
+/// overhead. A plain model takes the degree-1 path, which adds nothing.
 pub trait PerfOracle {
     /// Seconds to run a prefill iteration over `input_len` tokens on
     /// hardware `hw` holding a `share` fraction of the node.
@@ -39,7 +46,8 @@ pub trait PerfOracle {
         -> f64;
 
     /// Seconds to run one decode iteration for a batch of `batch` sequences
-    /// whose contexts total `total_ctx_tokens` tokens.
+    /// whose contexts total `total_ctx_tokens` tokens. An empty batch
+    /// takes no time.
     fn decode_time(
         &self,
         model: &ModelSpec,
@@ -48,35 +56,6 @@ pub trait PerfOracle {
         total_ctx_tokens: u64,
         share: f64,
     ) -> f64;
-
-    /// [`PerfOracle::prefill_time`] for a tensor-parallel instance of
-    /// degree `tp` spanning slots whose shares sum to `share`. The default
-    /// ignores the interconnect (degree 1 semantics); [`AnalyticPerf`]
-    /// adds the all-reduce term.
-    fn prefill_time_tp(
-        &self,
-        model: &ModelSpec,
-        hw: &HardwareSpec,
-        input_len: u32,
-        share: f64,
-        _tp: u32,
-    ) -> f64 {
-        self.prefill_time(model, hw, input_len, share)
-    }
-
-    /// [`PerfOracle::decode_time`] for a tensor-parallel instance of degree
-    /// `tp`. See [`PerfOracle::prefill_time_tp`].
-    fn decode_time_tp(
-        &self,
-        model: &ModelSpec,
-        hw: &HardwareSpec,
-        batch: u32,
-        total_ctx_tokens: u64,
-        share: f64,
-        _tp: u32,
-    ) -> f64 {
-        self.decode_time(model, hw, batch, total_ctx_tokens, share)
-    }
 
     /// Seconds to cold-start-load the model's weights into serving memory
     /// from checkpoint tier `tier`, while `concurrent` loads (including
@@ -165,9 +144,9 @@ impl AnalyticPerf {
     ///
     /// Returns 0 when even a single sequence misses the SLO. This solves the
     /// compute side of Table II; callers intersect it with the KV-capacity
-    /// bound for the memory side. The model's deployed TP degree is charged
-    /// its all-reduce overhead, so the bound matches what the simulation
-    /// will actually time (degree 1 is the unchanged legacy path).
+    /// bound for the memory side. The decode time includes the model's
+    /// all-reduce overhead, so the bound matches what the simulation will
+    /// actually time.
     pub fn max_batch_under_tpot(
         &self,
         model: &ModelSpec,
@@ -176,12 +155,11 @@ impl AnalyticPerf {
         share: f64,
         tpot_slo: f64,
     ) -> u32 {
-        let tp = model.tp_degree.max(1);
         let mut lo = 0u32;
         let mut hi = 4096u32;
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let t = self.decode_time_tp(model, hw, mid, mid as u64 * ctx as u64, share, tp);
+            let t = self.decode_time(model, hw, mid, mid as u64 * ctx as u64, share);
             if t <= tpot_slo {
                 lo = mid;
             } else {
@@ -204,7 +182,9 @@ impl PerfOracle for AnalyticPerf {
         let l = input_len as f64;
         let dense = 2.0 * model.params as f64 * l;
         let attn = 4.0 * l * l * model.hidden as f64 * model.layers as f64;
-        dense / (hw.prefill_tflops * share * 1e12) + attn / (hw.attn_tflops * share * 1e12)
+        dense / (hw.prefill_tflops * share * 1e12)
+            + attn / (hw.attn_tflops * share * 1e12)
+            + self.tp_comm_time(model, hw, model.tp_degree, input_len as u64)
     }
 
     fn decode_time(
@@ -223,32 +203,10 @@ impl PerfOracle for AnalyticPerf {
         let weights_pass = model.weights_bytes() as f64 / bw;
         let per_seq = 2.0 * model.params as f64 / (hw.decode_tflops * share * 1e12);
         let kv_read = total_ctx_tokens as f64 * model.kv_bytes_per_token() as f64 / bw;
-        weights_pass + batch as f64 * per_seq + kv_read
-    }
-
-    fn prefill_time_tp(
-        &self,
-        model: &ModelSpec,
-        hw: &HardwareSpec,
-        input_len: u32,
-        share: f64,
-        tp: u32,
-    ) -> f64 {
-        self.prefill_time(model, hw, input_len, share)
-            + self.tp_comm_time(model, hw, tp, input_len as u64)
-    }
-
-    fn decode_time_tp(
-        &self,
-        model: &ModelSpec,
-        hw: &HardwareSpec,
-        batch: u32,
-        total_ctx_tokens: u64,
-        share: f64,
-        tp: u32,
-    ) -> f64 {
-        self.decode_time(model, hw, batch, total_ctx_tokens, share)
-            + self.tp_comm_time(model, hw, tp, batch as u64)
+        weights_pass
+            + batch as f64 * per_seq
+            + kv_read
+            + self.tp_comm_time(model, hw, model.tp_degree, batch as u64)
     }
 }
 
@@ -611,14 +569,10 @@ mod tests {
     #[test]
     fn zero_batch_decodes_instantly() {
         let p = AnalyticPerf::new();
-        let t = p.decode_time(
-            &ModelSpec::llama2_7b(),
-            &HardwareSpec::a100_80g(),
-            0,
-            0,
-            1.0,
-        );
-        assert_eq!(t, 0.0);
+        for m in [ModelSpec::llama2_7b(), ModelSpec::llama2_7b().with_tp(2)] {
+            let t = p.decode_time(&m, &HardwareSpec::a100_80g(), 0, 0, 1.0);
+            assert_eq!(t, 0.0, "TP degree {}", m.tp_degree);
+        }
     }
 
     #[test]
@@ -632,21 +586,13 @@ mod tests {
         );
     }
 
-    /// TP degree 1 is the identity: every pre-TP code path is unchanged.
+    /// TP degree 1 is the identity: a plain model pays no interconnect.
     #[test]
     fn tp_degree_one_is_free() {
         let p = AnalyticPerf::new();
         let m = ModelSpec::llama2_13b();
         let hw = HardwareSpec::a100_80g().ganged(4);
         assert_eq!(p.tp_comm_time(&m, &hw, 1, 4096), 0.0);
-        assert_eq!(
-            p.prefill_time_tp(&m, &hw, 2048, 0.25, 1),
-            p.prefill_time(&m, &hw, 2048, 0.25)
-        );
-        assert_eq!(
-            p.decode_time_tp(&m, &hw, 16, 16 * 1024, 0.25, 1),
-            p.decode_time(&m, &hw, 16, 16 * 1024, 0.25)
-        );
     }
 
     /// The interconnect discount: on an n-device gang, a TP=k instance has
@@ -659,11 +605,11 @@ mod tests {
         let hw = HardwareSpec::a100_80g().ganged(4);
         let decode = |tp: u32| {
             let share = tp as f64 / 4.0;
-            p.decode_time_tp(&m, &hw, 16, 16 * 2048, share, tp)
+            p.decode_time(&m.clone().with_tp(tp), &hw, 16, 16 * 2048, share)
         };
         let prefill = |tp: u32| {
             let share = tp as f64 / 4.0;
-            p.prefill_time_tp(&m, &hw, 2048, share, tp)
+            p.prefill_time(&m.clone().with_tp(tp), &hw, 2048, share)
         };
         for t in [decode(1) / decode(2), prefill(1) / prefill(2)] {
             assert!(t > 1.0 && t < 2.0, "TP=2 speedup {t} must be in (1, 2)");
