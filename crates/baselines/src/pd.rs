@@ -85,7 +85,7 @@ impl PdSllm {
             if self.prefill_insts.contains(&inst) {
                 continue;
             }
-            let Some((node, _)) = w.instance_placement(inst) else {
+            let Some(node) = w.instance_placement(inst) else {
                 continue;
             };
             // A TP instance owns its whole slot group's compute share.

@@ -85,7 +85,7 @@ impl Sllm {
     }
 
     fn instance_limit(&self, w: &World, inst: InstanceId) -> u32 {
-        let (Some((node, _)), Some(i)) = (w.instance_placement(inst), w.instance(inst)) else {
+        let (Some(node), Some(i)) = (w.instance_placement(inst), w.instance(inst)) else {
             return 0;
         };
         // A TP instance owns its whole slot group's compute share.
@@ -117,7 +117,7 @@ impl Sllm {
             .model_instances(model)
             .iter()
             .filter_map(|&id| {
-                let (node, _) = w.instance_placement(id)?;
+                let node = w.instance_placement(id)?;
                 if !w.node_schedulable(node) {
                     return None;
                 }

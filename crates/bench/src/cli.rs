@@ -9,8 +9,7 @@
 //! - `--json` — echo the machine-readable result blobs to stdout after the
 //!   tables (files under `results/` are always written, best-effort).
 //!
-//! The `SEED` and `BENCH_QUICK=1` environment variables remain as fallbacks
-//! for CI compatibility (`BENCH_THREADS` joins them); explicit flags win.
+//! Flags are the only input: no environment variable changes a run.
 //! Malformed values — `--seed foo`, a dangling `--seed`, an unknown flag —
 //! are hard errors, not silent fallbacks to defaults.
 
@@ -19,12 +18,11 @@ use std::fmt;
 /// Parsed experiment options shared by every experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
-    /// Root seed (`--seed`, env `SEED`, default 42).
+    /// Root seed (`--seed`, default 42).
     pub seed: u64,
-    /// Shrunken sweeps for smoke runs (`--quick`, env `BENCH_QUICK=1`).
+    /// Shrunken sweeps for smoke runs (`--quick`).
     pub quick: bool,
-    /// Sweep-driver worker threads; 0 means auto (`--threads`, env
-    /// `BENCH_THREADS`).
+    /// Sweep-driver worker threads; 0 means auto (`--threads`).
     pub threads: usize,
     /// Echo JSON result blobs to stdout (`--json`).
     pub json: bool,
@@ -65,32 +63,21 @@ pub enum Parsed {
 /// Usage text shown for `--help` and appended to parse errors.
 pub const USAGE: &str = "\
 options:
-  --seed N      root seed for traces and worlds (default 42; env SEED)
-  --quick       shrink sweeps for smoke runs (env BENCH_QUICK=1)
-  --threads N   sweep workers, 0 = auto (default 0; env BENCH_THREADS)
+  --seed N      root seed for traces and worlds (default 42)
+  --quick       shrink sweeps for smoke runs
+  --threads N   sweep workers, 0 = auto (default 0)
   --json        echo JSON result blobs to stdout after the tables
   -h, --help    show this help";
 
 impl Cli {
-    /// Parses flags strictly from `args` (program name already stripped),
-    /// starting from environment fallbacks.
+    /// Parses flags strictly from `args` (program name already stripped)
+    /// on top of the defaults.
     pub fn parse<I, S>(args: I) -> Result<Parsed, CliError>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        Self::parse_from(Cli::from_env()?, args)
-    }
-
-    /// Parses flags strictly on top of an explicit `base` configuration —
-    /// the env-free core of [`Cli::parse`], so tests stay hermetic under an
-    /// exported `SEED`/`BENCH_QUICK`/`BENCH_THREADS`.
-    pub fn parse_from<I, S>(base: Cli, args: I) -> Result<Parsed, CliError>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut cli = base;
+        let mut cli = Cli::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             let arg = arg.as_ref();
@@ -120,23 +107,6 @@ impl Cli {
         Ok(Parsed::Run(cli))
     }
 
-    /// Defaults overridden by the `SEED`/`BENCH_QUICK`/`BENCH_THREADS`
-    /// environment fallbacks. A malformed `SEED` or `BENCH_THREADS` is an
-    /// error — a typo must not silently run a different experiment.
-    pub fn from_env() -> Result<Cli, CliError> {
-        let mut cli = Cli::default();
-        if let Ok(s) = std::env::var("SEED") {
-            cli.seed = parse_u64("SEED", &s)?;
-        }
-        if let Ok(s) = std::env::var("BENCH_THREADS") {
-            cli.threads = parse_u64("BENCH_THREADS", &s)? as usize;
-        }
-        cli.quick = std::env::var("BENCH_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        Ok(cli)
-    }
-
     /// Worker count the sweep driver should use: the explicit `--threads`,
     /// or the machine's available parallelism. [`crate::sweep::Sweep::run`]
     /// additionally clamps to the number of grid cells.
@@ -162,10 +132,8 @@ fn parse_u64(flag: &str, v: &str) -> Result<u64, CliError> {
 mod tests {
     use super::*;
 
-    // Hermetic: parse on top of explicit defaults so an exported
-    // SEED/BENCH_QUICK/BENCH_THREADS can't perturb the assertions.
     fn parse(args: &[&str]) -> Result<Parsed, CliError> {
-        Cli::parse_from(Cli::default(), args.iter().copied())
+        Cli::parse(args.iter().copied())
     }
 
     #[test]

@@ -110,11 +110,8 @@ fn build_scenario(pt: &Pt, seed: u64) -> Scenario {
     // keeps the hot path on the indexed warm-instance lookup instead of
     // cold-placement fleet scans.
     cfg.keep_alive = SimDuration::from_secs(600);
-    // A day at 1 Hz would be 86k occupancy ticks; sample at 10 s and keep
-    // every 60th point so the timeline stays a few hundred entries. The
-    // time-weighted integrals still see every tick.
+    // A day at 1 Hz would be 86k occupancy ticks; sample at 10 s instead.
     cfg.sample_period = SimDuration::from_secs(10);
-    cfg.usage_sample_stride = 60;
     Scenario::new(ClusterSpec::heterogeneous(0, pt.nodes), models)
         .config(cfg)
         .workload(trace_spec(pt, seed).generate())

@@ -130,7 +130,6 @@ fn build_scenario(pt: &Pt, seed: u64) -> Scenario {
         .config(world_cfg(seed))
         .checkpoints(CheckpointConfig::tiered(30 * GB, Some(0)))
         .dist(pt.mode.dist())
-        .record_activations()
         .workload(burst_trace(pt.burst))
 }
 

@@ -5,8 +5,8 @@
 //! the shared machinery:
 //!
 //! - [`cli`] — the unified `--seed`/`--quick`/`--threads`/`--json` command
-//!   line `bench run` and `bench all` accept (with `SEED`/`BENCH_QUICK`
-//!   env fallbacks).
+//!   line `bench run` and `bench all` accept (flags only; no environment
+//!   variable changes a run).
 //! - [`sweep`] — the declarative (point × system × seed) [`sweep::Sweep`]
 //!   grid and its parallel, deterministic driver (progress/ETA on stderr
 //!   via [`sweep::Sweep::run_cli`]). Cells build a composable

@@ -266,6 +266,7 @@ pub fn present(report: &Report, cli: &Cli) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn registry_has_all_experiments() {
@@ -288,5 +289,35 @@ mod tests {
     #[test]
     fn unknown_name_is_none() {
         assert!(find("fig99_nonexistent").is_none());
+    }
+
+    /// Every registered experiment has a golden capture under
+    /// `goldens/quick-seed7/`, and every golden names a registered
+    /// experiment. A missing golden leaves an experiment's numbers free to
+    /// drift; an orphan is dead weight a deleted experiment left behind.
+    #[test]
+    fn registry_and_goldens_are_in_sync() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../goldens/quick-seed7");
+        let goldens: BTreeSet<String> = std::fs::read_dir(dir)
+            .expect("goldens directory")
+            .map(|e| {
+                e.expect("goldens entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter_map(|f| f.strip_suffix(".json").map(str::to_string))
+            .collect();
+        let registered: BTreeSet<String> = REGISTRY.iter().map(|e| e.name.to_string()).collect();
+        let missing: Vec<&String> = registered.difference(&goldens).collect();
+        assert!(
+            missing.is_empty(),
+            "registered experiments without a golden (run scripts/update-goldens.sh): {missing:?}"
+        );
+        let orphans: Vec<&String> = goldens.difference(&registered).collect();
+        assert!(
+            orphans.is_empty(),
+            "goldens naming no registered experiment: {orphans:?}"
+        );
     }
 }

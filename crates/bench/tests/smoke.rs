@@ -115,29 +115,6 @@ fn fig04_binary_runs_end_to_end() {
     assert_eq!(top_level_entries(&blob), 2, "one entry per sweep point");
 }
 
-/// `BENCH_QUICK=1` keeps working as a CI-compatible fallback for `--quick`.
-#[test]
-fn bench_quick_env_fallback_still_works() {
-    let exe = env!("CARGO_BIN_EXE_bench");
-    let tmp = std::env::temp_dir().join(format!("slinfer-smoke-env-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    std::fs::create_dir_all(&tmp).expect("create smoke workdir");
-    let out = Command::new(exe)
-        .args(["run", "fig04_sllm_capacity", "--seed", "7"])
-        .env("BENCH_QUICK", "1")
-        .current_dir(&tmp)
-        .output()
-        .expect("bench binary must launch");
-    assert!(out.status.success());
-    let blob = std::fs::read_to_string(tmp.join("results/fig04_sllm_capacity.json"))
-        .expect("JSON results dumped");
-    assert_eq!(
-        top_level_entries(&blob),
-        2,
-        "env fallback must shrink the sweep"
-    );
-}
-
 /// The old harness silently fell back to seed 42 on `--seed foo`; the
 /// unified CLI must reject it loudly instead.
 #[test]

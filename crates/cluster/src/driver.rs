@@ -54,7 +54,6 @@ impl<P: Policy> Simulation<P> {
     pub fn run(mut self, trace: &Trace) -> RunMetrics {
         let w = &mut self.world;
         w.metrics = RunMetrics::for_trace(&trace.requests);
-        w.metrics.usage_stride = w.cfg.usage_sample_stride;
         w.outstanding = trace.len();
         for r in &trace.requests {
             assert!(
@@ -107,11 +106,7 @@ impl<P: Policy> Simulation<P> {
                 let rr = RunningRequest::new(trace.requests[idx]);
                 self.policy.on_arrival(w, rr);
             }
-            Event::IterationDone {
-                inst,
-                kind,
-                elapsed,
-            } => {
+            Event::IterationDone { inst, kind } => {
                 // The instance may have been destroyed by a NodeFail while
                 // this iteration was in flight; its work is simply lost.
                 if w.instance(inst).is_none() {
@@ -124,7 +119,7 @@ impl<P: Policy> Simulation<P> {
                             .instance_mut(inst)
                             // detlint::allow(D005, "the event dispatch above already dropped stale IterationDone events for unloaded instances")
                             .expect("checked above")
-                            .finish_prefill(req, now, elapsed);
+                            .finish_prefill(req, now);
                         w.count_decode_tokens(inst, 1);
                         let slo = w.slo_for_id(req);
                         w.metrics.on_token(req, tokens_out, now, &slo);
@@ -141,7 +136,7 @@ impl<P: Policy> Simulation<P> {
                             .instance_mut(inst)
                             // detlint::allow(D005, "the event dispatch above already dropped stale IterationDone events for unloaded instances")
                             .expect("checked above")
-                            .finish_decode(now, elapsed);
+                            .finish_decode(now);
                         w.count_decode_tokens(inst, outcome.produced.len() as u64);
                         for &(id, tokens_out, _) in &outcome.produced {
                             let slo = w.slo_for_id(id);
@@ -223,7 +218,7 @@ impl<P: Policy> Simulation<P> {
     /// hand its requests back to the policy — the deferred half of a
     /// [`ClusterEvent::NodeDrain`].
     fn sweep_draining(&mut self, inst: engine::instance::InstanceId) {
-        let Some((node, _)) = self.world.instance_placement(inst) else {
+        let Some(node) = self.world.instance_placement(inst) else {
             return;
         };
         if self.world.node_health(node) != crate::world::NodeHealth::Draining {

@@ -117,15 +117,8 @@ pub struct UsageSample {
 pub struct RunMetrics {
     /// Per-request outcomes, indexed by `RequestId.0`.
     pub records: Vec<RequestRecord>,
-    /// Occupancy timeline (Fig. 23). Thinned by [`Self::usage_stride`];
-    /// the time-weighted integrators below still see every tick.
+    /// Occupancy timeline (Fig. 23), one sample per tick.
     pub usage_timeline: Vec<UsageSample>,
-    /// Keep every `n`-th occupancy sample in the timeline (0 acts as 1,
-    /// the keep-everything historical default). Set from
-    /// [`WorldConfig::usage_sample_stride`](crate::world::WorldConfig).
-    pub usage_stride: usize,
-    /// Occupancy ticks seen so far (drives the stride phase).
-    usage_ticks: u64,
     /// Per-node-kind time-weighted "nodes used" integrators.
     cpu_nodes_used: TimeWeighted,
     gpu_nodes_used: TimeWeighted,
@@ -172,9 +165,9 @@ pub struct RunMetrics {
     /// Fabric transfers re-sourced because their source node failed
     /// mid-stream.
     pub transfer_reroutes: u64,
-    /// Instance activation log `(model, completed-at seconds)`, recorded
-    /// only when [`crate::world::WorldConfig::record_activations`] is set
-    /// (time-to-N-replicas in the `scale_burst` experiment).
+    /// Instance activation log `(model, completed-at seconds)`, one entry
+    /// per finished cold start (time-to-N-replicas in the `scale_burst`
+    /// experiment).
     pub activations: Vec<(ModelId, f64)>,
     /// KV rescale operations completed.
     pub scale_ops: u64,
@@ -249,15 +242,11 @@ impl RunMetrics {
 
     /// Records occupancy at `t` seconds.
     pub fn sample_usage(&mut self, t: f64, cpu_used: u32, gpu_used: u32) {
-        let stride = self.usage_stride.max(1) as u64;
-        if self.usage_ticks.is_multiple_of(stride) {
-            self.usage_timeline.push(UsageSample {
-                t,
-                cpu_nodes_used: cpu_used,
-                gpu_nodes_used: gpu_used,
-            });
-        }
-        self.usage_ticks += 1;
+        self.usage_timeline.push(UsageSample {
+            t,
+            cpu_nodes_used: cpu_used,
+            gpu_nodes_used: gpu_used,
+        });
         self.cpu_nodes_used.record(t, cpu_used as f64);
         self.gpu_nodes_used.record(t, gpu_used as f64);
         // Integrate node-busy seconds via the same samples (1-sample hold).

@@ -124,13 +124,6 @@ impl Scenario {
         self
     }
 
-    /// Turns on the per-activation log (`RunMetrics::activations`), used
-    /// by time-to-N-replicas measurements.
-    pub fn record_activations(mut self) -> Self {
-        self.cfg.record_activations = true;
-        self
-    }
-
     /// Sets the multi-turn session prefix-reuse mode (shorthand for
     /// patching the config): parked per-session KV, affinity routing,
     /// priced KV migration. The default is [`crate::SessionConfig::off`].

@@ -64,25 +64,11 @@ pub struct WorldConfig {
     /// contention, HBM hits). The default, [`CheckpointConfig::flat`],
     /// reproduces the legacy flat loader bit for bit.
     pub checkpoints: CheckpointConfig,
-    /// Keep every `n`-th occupancy sample in
-    /// [`RunMetrics::usage_timeline`](crate::metrics::RunMetrics). The
-    /// time-weighted node-busy integrals still see every tick, so summary
-    /// numbers are unchanged; only the plotted timeline thins. The default
-    /// of 1 keeps everything (byte-identical to the historical behaviour);
-    /// fleet-scale runs raise it so a day-long trace does not carry a
-    /// 100k-point timeline per cell. 0 is treated as 1.
-    pub usage_sample_stride: usize,
     /// Cross-node checkpoint distribution (peer-to-peer fabric fetch,
     /// multicast relay trees, cache-aware keep-alive/demotion). The
     /// default, [`DistConfig::off`], disables everything and replays
     /// pre-distribution runs byte-identically.
     pub dist: DistConfig,
-    /// Record `(model, activation time)` for every instance that finishes
-    /// its cold start in
-    /// [`RunMetrics::activations`](crate::metrics::RunMetrics::activations)
-    /// — what flash-crowd experiments compute time-to-N-replicas from.
-    /// Off by default so fleet-scale runs don't grow an unbounded log.
-    pub record_activations: bool,
     /// Multi-turn session prefix reuse (parked per-session KV, affinity
     /// routing, priced KV migration). The default, [`SessionConfig::off`],
     /// disables everything and replays sessionless runs byte-identically.
@@ -99,9 +85,7 @@ impl Default for WorldConfig {
             seed: 0,
             sample_period: SimDuration::from_secs(1),
             checkpoints: CheckpointConfig::flat(),
-            usage_sample_stride: 1,
             dist: DistConfig::off(),
-            record_activations: false,
             sessions: SessionConfig::off(),
         }
     }
@@ -204,7 +188,6 @@ pub(crate) enum Event {
     IterationDone {
         inst: InstanceId,
         kind: IterationKind,
-        elapsed: SimDuration,
     },
     /// A cold-start load completes. `epoch` is 0 for fixed-duration
     /// (uncontended) loads; contended loads are rescheduled by their
@@ -236,7 +219,8 @@ pub(crate) enum Event {
 struct NodeState {
     hw: HardwareSpec,
     slot_shares: Vec<f64>,
-    slot_busy: Vec<bool>,
+    /// Per slot: when its in-flight iteration ends (`None` while idle).
+    iteration_end: Vec<Option<SimTime>>,
     committed: u64,
     health: NodeHealth,
     /// Tiered checkpoint cache (DRAM/SSD LRU state machine).
@@ -250,7 +234,7 @@ impl NodeState {
         NodeState {
             hw: spec.hw.clone(),
             slot_shares: spec.slot_shares.clone(),
-            slot_busy: vec![false; spec.slot_shares.len()],
+            iteration_end: vec![None; spec.slot_shares.len()],
             committed: 0,
             health: NodeHealth::Up,
             store: CheckpointStore::new(),
@@ -287,12 +271,6 @@ pub struct Hosted {
 }
 
 impl Hosted {
-    /// Primary slot (the first of the group) — the single-slot address
-    /// legacy queries use.
-    pub fn slot(&self) -> usize {
-        self.slots[0]
-    }
-
     /// The node whose loading channel the cold start runs on: the source
     /// of a peer fetch, else the instance's own node.
     fn channel_node(&self) -> NodeId {
@@ -565,7 +543,13 @@ impl World {
 
     /// True while an iteration runs on the slot.
     pub fn slot_busy(&self, node: NodeId, slot: usize) -> bool {
-        self.nodes[node.0 as usize].slot_busy[slot]
+        self.nodes[node.0 as usize].iteration_end[slot].is_some()
+    }
+
+    /// When the slot frees: the end of its in-flight iteration, or now if
+    /// it is idle (shadow validation replays a node's future from here).
+    pub fn slot_free_at(&self, node: NodeId, slot: usize) -> SimTime {
+        self.nodes[node.0 as usize].iteration_end[slot].unwrap_or(self.clock)
     }
 
     /// The model registry entry for `model`.
@@ -591,10 +575,10 @@ impl World {
         self.instances.get_mut(&id).map(|h| &mut h.inst)
     }
 
-    /// Placement of an instance: its node and *primary* slot. Use
-    /// [`World::instance_slots`] for the full tensor-parallel group.
-    pub fn instance_placement(&self, id: InstanceId) -> Option<(NodeId, usize)> {
-        self.instances.get(&id).map(|h| (h.node, h.slot()))
+    /// The node an instance resides on. [`World::instance_slots`] names
+    /// its slot group.
+    pub fn instance_placement(&self, id: InstanceId) -> Option<NodeId> {
+        self.instances.get(&id).map(|h| h.node)
     }
 
     /// The full slot group an instance spans (ascending; length 1 for
@@ -621,7 +605,7 @@ impl World {
         let h = &self.instances[&id];
         h.slots
             .iter()
-            .any(|&s| self.nodes[h.node.0 as usize].slot_busy[s])
+            .any(|&s| self.nodes[h.node.0 as usize].iteration_end[s].is_some())
     }
 
     /// Picks a `k`-slot group on `node` for a new instance, or `None` if
@@ -1214,7 +1198,7 @@ impl World {
         kind: IterationKind,
     ) -> Result<SimDuration, StartError> {
         // detlint::allow(D005, "documented # Panics contract: iteration starts name instances the caller holds")
-        let (node, _) = self.instance_placement(inst).expect("unknown instance");
+        let node = self.instance_placement(inst).expect("unknown instance");
         if self.instance_group_busy(inst) {
             return Err(StartError::GroupBusy);
         }
@@ -1281,18 +1265,12 @@ impl World {
             }
         };
         let dur = SimDuration::from_secs_f64(self.cfg.noise.apply(base, &mut self.rng));
+        let end = self.clock + dur;
         let group = self.instances[&inst].slots.clone();
         for &s in &group {
-            self.nodes[node.0 as usize].slot_busy[s] = true;
+            self.nodes[node.0 as usize].iteration_end[s] = Some(end);
         }
-        self.events.push(
-            self.clock + dur,
-            Event::IterationDone {
-                inst,
-                kind,
-                elapsed: dur,
-            },
-        );
+        self.events.push(end, Event::IterationDone { inst, kind });
         Ok(dur)
     }
 
@@ -1302,7 +1280,7 @@ impl World {
     /// §VII-C hazard.
     pub fn start_kv_scale(&mut self, inst: InstanceId, to_bytes: u64) -> Result<(), MemError> {
         // detlint::allow(D005, "documented # Panics contract: rescales name instances the policy holds")
-        let (node, _) = self.instance_placement(inst).expect("unknown instance");
+        let node = self.instance_placement(inst).expect("unknown instance");
         let h = &self.instances[&inst];
         assert!(!h.inst.scaling, "rescale already in flight");
         assert!(!h.inst.busy, "cannot rescale mid-iteration");
@@ -1532,9 +1510,7 @@ impl World {
                 rerouted.retain(|(id, ..)| self.instances.get(id).is_some_and(|h| h.node != *node));
                 let n = &mut self.nodes[node.0 as usize];
                 n.committed = 0;
-                for b in &mut n.slot_busy {
-                    *b = false;
-                }
+                n.iteration_end.fill(None);
                 // The checkpoint cache dies with the host too (DRAM is gone
                 // and the disk never rejoins the fleet).
                 n.store.clear();
@@ -1615,7 +1591,7 @@ impl World {
             let node = h.node;
             let group = h.slots.clone();
             for &s in &group {
-                self.nodes[node.0 as usize].slot_busy[s] = false;
+                self.nodes[node.0 as usize].iteration_end[s] = None;
                 self.wake.push((node, s));
             }
         }
@@ -1641,7 +1617,7 @@ impl World {
         } else {
             to_bytes
         };
-        let ok = h.inst.apply_kv_resize(final_to, elapsed);
+        let ok = h.inst.apply_kv_resize(final_to);
         debug_assert!(ok, "resize below live set slipped through");
         let node = h.node;
         let group = h.slots.clone();
@@ -1670,11 +1646,9 @@ impl World {
         if self.cfg.dist.enabled() {
             self.dir.mark_ready(h.inst.model, h.node);
         }
-        if self.cfg.record_activations {
-            self.metrics
-                .activations
-                .push((h.inst.model, now.as_secs_f64()));
-        }
+        self.metrics
+            .activations
+            .push((h.inst.model, now.as_secs_f64()));
         h.inst.activate(now);
         for r in h.inst.requests_mut() {
             if r.grace.is_zero() {

@@ -2,12 +2,17 @@
 //! transitions, estimation helpers, and the operation lifecycle — below the
 //! driver, above the engine.
 
-use cluster::{ClusterSpec, MemError, NodeId, World, WorldConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use cluster::{
+    ClusterEvent, ClusterSpec, MemError, NodeId, NodeSpec, Policy, Simulation, World, WorldConfig,
+};
 use engine::instance::InstanceId;
 use engine::request::RunningRequest;
-use hwmodel::{HardwareKind, ModelSpec, NoiseModel, PerfOracle};
-use simcore::time::SimTime;
-use workload::request::{ModelId, Request, RequestId, SloClass};
+use hwmodel::{HardwareKind, HardwareSpec, ModelSpec, NoiseModel, PerfOracle};
+use simcore::time::{SimDuration, SimTime};
+use workload::request::{ModelId, Request, RequestId, SloClass, Trace};
 
 const GB: u64 = 1_000_000_000;
 
@@ -57,7 +62,8 @@ fn create_commits_and_unload_releases() {
     assert_eq!(w.node_available_bytes(NodeId(1)), before - weights - 4 * GB);
     assert_eq!(w.node_instances(NodeId(1)), [inst]);
     assert_eq!(w.model_instances(ModelId(0)), [inst]);
-    assert_eq!(w.instance_placement(inst), Some((NodeId(1), 0)));
+    assert_eq!(w.instance_placement(inst), Some(NodeId(1)));
+    assert_eq!(w.instance_slots(inst), Some(&[0usize][..]));
     // Unloading returns every committed byte.
     w.unload_instance(inst);
     assert_eq!(w.node_available_bytes(NodeId(1)), before);
@@ -110,7 +116,7 @@ fn oversized_scale_up_is_rejected_and_counted() {
 /// The noiseless prefill time `start_iteration` charges `inst` for `len`
 /// tokens: its spec on its node's hardware at its slot group's share.
 fn prefill_s(w: &World, inst: InstanceId, len: u32) -> f64 {
-    let (node, _) = w.instance_placement(inst).expect("placed");
+    let node = w.instance_placement(inst).expect("placed");
     let spec = &w.instance(inst).expect("placed").spec;
     w.perf()
         .prefill_time(spec, w.node_hw(node), len, w.instance_share(inst))
@@ -118,7 +124,7 @@ fn prefill_s(w: &World, inst: InstanceId, len: u32) -> f64 {
 
 /// The decode twin of [`prefill_s`].
 fn decode_s(w: &World, inst: InstanceId, batch: u32, total_ctx: u64) -> f64 {
-    let (node, _) = w.instance_placement(inst).expect("placed");
+    let node = w.instance_placement(inst).expect("placed");
     let spec = &w.instance(inst).expect("placed").spec;
     w.perf().decode_time(
         spec,
@@ -216,9 +222,7 @@ fn drop_request_resolves_once() {
 
 #[test]
 fn tp_groups_claim_and_release_slot_sets() {
-    use cluster::NodeSpec;
     use engine::instance::IterationKind;
-    use hwmodel::HardwareSpec;
     let cfg = WorldConfig {
         noise: NoiseModel::off(),
         ..WorldConfig::default()
@@ -235,8 +239,8 @@ fn tp_groups_claim_and_release_slot_sets() {
     let tp2 = w
         .create_instance_group(ModelId(0), NodeId(0), &[0, 1], 8 * GB)
         .expect("group fits");
-    // Placement views: primary slot + full group, on every spanned slot.
-    assert_eq!(w.instance_placement(tp2), Some((NodeId(0), 0)));
+    // Placement views: the node + full group, on every spanned slot.
+    assert_eq!(w.instance_placement(tp2), Some(NodeId(0)));
     assert_eq!(w.instance_slots(tp2), Some(&[0usize, 1][..]));
     assert_eq!(w.slot_instances(NodeId(0), 0), [tp2]);
     assert_eq!(w.slot_instances(NodeId(0), 1), [tp2]);
@@ -270,10 +274,159 @@ fn tp_groups_claim_and_release_slot_sets() {
     );
 }
 
+/// What `slot_free_at` reported on slots 0..3 of node 0.
+#[derive(Debug, Clone, Copy)]
+enum FreeAt {
+    /// A slot-free poke at `now` found the TP group idle.
+    Idle { now: SimTime, free: [SimTime; 3] },
+    /// An iteration started on the TP group at `now`, ending at `end`.
+    Started {
+        now: SimTime,
+        end: SimTime,
+        free: [SimTime; 3],
+    },
+    /// The node failed at `now`.
+    Failed { now: SimTime, free: [SimTime; 3] },
+}
+
+/// Serves one request on a TP=2 group (slots 0 and 1 of a 3-slot node),
+/// fails the node halfway through the third iteration, and logs what
+/// `slot_free_at` reports along the way.
+struct FreeAtProbe {
+    log: Rc<RefCell<Vec<FreeAt>>>,
+    inst: Option<InstanceId>,
+}
+
+impl FreeAtProbe {
+    fn free(w: &World) -> [SimTime; 3] {
+        [0, 1, 2].map(|s| w.slot_free_at(NodeId(0), s))
+    }
+}
+
+impl Policy for FreeAtProbe {
+    fn name(&self) -> &str {
+        "slot_free_at probe"
+    }
+
+    fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
+        let inst = w
+            .create_instance_group(rr.req.model, NodeId(0), &[0, 1], 8 * GB)
+            .expect("group fits");
+        self.inst = Some(inst);
+        w.admit(inst, rr);
+    }
+
+    fn on_slot_free(&mut self, w: &mut World, _node: NodeId, _slot: usize) {
+        let Some(inst) = self
+            .inst
+            .filter(|&i| w.instance(i).is_some_and(|i| i.has_work()))
+        else {
+            return;
+        };
+        if w.instance_group_busy(inst) {
+            return;
+        }
+        let now = w.now();
+        let mut log = self.log.borrow_mut();
+        log.push(FreeAt::Idle {
+            now,
+            free: Self::free(w),
+        });
+        let slo = w.slo();
+        let (_, kind) = w
+            .instance(inst)
+            .and_then(|i| i.most_urgent(now, &slo))
+            .expect("has work");
+        let dur = w.start_iteration(inst, kind).expect("group idle");
+        log.push(FreeAt::Started {
+            now,
+            end: now + dur,
+            free: Self::free(w),
+        });
+        if log
+            .iter()
+            .filter(|e| matches!(e, FreeAt::Started { .. }))
+            .count()
+            == 3
+        {
+            w.push_cluster_event(now + dur / 2, ClusterEvent::NodeFail(NodeId(0)));
+        }
+    }
+
+    fn on_node_event(&mut self, w: &mut World, _ev: &ClusterEvent, displaced: Vec<RunningRequest>) {
+        self.log.borrow_mut().push(FreeAt::Failed {
+            now: w.now(),
+            free: Self::free(w),
+        });
+        for rr in displaced {
+            w.drop_request(&rr);
+        }
+    }
+}
+
+#[test]
+fn slot_free_at_is_the_iteration_end_until_release_or_node_failure() {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let cluster = ClusterSpec {
+        nodes: vec![NodeSpec::multi_accel(HardwareSpec::a100_80g(), 3)],
+    };
+    let mut req = rr(0, 0).req;
+    req.output_len = 32;
+    let trace = Trace::new(vec![req], 1, SimDuration::from_secs(60));
+    let cfg = WorldConfig {
+        noise: NoiseModel::off(),
+        ..WorldConfig::default()
+    };
+    let probe = FreeAtProbe {
+        log: Rc::clone(&log),
+        inst: None,
+    };
+    let m = Simulation::new(
+        &cluster,
+        vec![ModelSpec::llama2_13b().with_tp(2)],
+        cfg,
+        probe,
+    )
+    .run(&trace);
+    assert!(m.records[0].dropped, "the failure displaced the request");
+
+    let log = log.borrow();
+    let ends: Vec<SimTime> = log
+        .iter()
+        .filter_map(|e| match *e {
+            FreeAt::Started { now, end, free } => {
+                // Both slots of the group name the iteration's end; the
+                // slot outside it is free now.
+                assert!(end > now);
+                assert_eq!(free, [end, end, now]);
+                Some(end)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ends.len(), 3);
+    // Once an iteration's slots are released, they are free now.
+    let idle: Vec<SimTime> = log
+        .iter()
+        .filter_map(|e| match *e {
+            FreeAt::Idle { now, free } => {
+                assert_eq!(free, [now; 3]);
+                Some(now)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(idle[1..], ends[..2]);
+    // The failure struck mid-iteration, and freed every slot at once.
+    let Some(&FreeAt::Failed { now, free }) = log.last() else {
+        panic!("the node never failed: {log:?}");
+    };
+    assert!(now < ends[2]);
+    assert_eq!(free, [now; 3]);
+}
+
 #[test]
 fn tp_group_estimates_pay_the_interconnect() {
-    use cluster::NodeSpec;
-    use hwmodel::HardwareSpec;
     let cfg = WorldConfig {
         noise: NoiseModel::off(),
         ..WorldConfig::default()

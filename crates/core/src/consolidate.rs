@@ -29,7 +29,7 @@ pub fn order_candidates(
         .model_instances(model)
         .iter()
         .map(|&id| {
-            let (node, _) = w.instance_placement(id).expect("listed instance");
+            let node = w.instance_placement(id).expect("listed instance");
             let is_cpu = w.node_hw(node).kind.is_cpu();
             let batch = w.instance(id).map(|i| i.live_count() as i64).unwrap_or(0);
             // Sort keys: CPU-first (when preferred), then biggest batch.
@@ -51,7 +51,7 @@ pub fn order_candidates(
 /// target's, idle at the engine level (not mid-iteration or mid-rescale),
 /// and fully loaded.
 pub fn pick_victim(w: &World, target: InstanceId) -> Option<InstanceId> {
-    let (node, _) = w.instance_placement(target)?;
+    let node = w.instance_placement(target)?;
     let target_batch = w.instance(target)?.live_count();
     let mut best: Option<(u32, InstanceId)> = None;
     for &id in w.node_instances(node) {

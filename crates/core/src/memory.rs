@@ -1,7 +1,11 @@
 //! Hazard-aware memory planning (§VII).
 //!
-//! Two cooperating pieces:
+//! Three cooperating pieces:
 //!
+//! - **Eq. 2** ([`required_bytes`]) — the KV bytes an instance requires
+//!   (§VII-A). Every sizing decision SLINFER makes starts from it:
+//!   admission, preemption, KV-shortfall recovery, lazy scale-down and a
+//!   new instance's first grant.
 //! - **Watermark policy** ([`recommend_bytes`], [`should_scale_down`]) —
 //!   early scale-up to `M_require · (1 + w)` and lazy scale-down only when
 //!   `M_recommend · (1 + w) < M_cur`, damping the ping-pong effect of load
@@ -15,9 +19,31 @@
 //!   completes — the paper's Fig. 19 flow.
 
 use engine::instance::InstanceId;
+use engine::request::RunningRequest;
 use serde::{Deserialize, Serialize};
 
 use cluster::NodeId;
+
+/// Eq. 2 (§VII-A): the KV bytes `C · max(Σ_r (I_r + max(O_r, Ō)), L_min)`
+/// an instance holding the `live` requests requires, where `Ō` is the
+/// model's mean output length (`mean_output`), `L_min` a floor in tokens
+/// (the paper uses the model's maximum context length) and `C` the KV
+/// bytes per token. A `candidate` about to join adds its
+/// `prefill_len + Ō`.
+pub fn required_bytes(
+    live: &[RunningRequest],
+    candidate: Option<&RunningRequest>,
+    mean_output: f64,
+    l_min: u32,
+    kv_bytes_per_token: u64,
+) -> u64 {
+    let live_tokens: f64 = live
+        .iter()
+        .map(|r| r.req.input_len as f64 + (r.tokens_out as f64).max(mean_output))
+        .sum();
+    let tokens = live_tokens + candidate.map_or(0.0, |c| c.prefill_len() as f64 + mean_output);
+    (tokens.max(l_min as f64) * kv_bytes_per_token as f64).ceil() as u64
+}
 
 /// `M_recommend = M_require · (1 + w)` (§VII-B).
 pub fn recommend_bytes(require_bytes: u64, watermark: f64) -> u64 {
@@ -237,8 +263,50 @@ impl MemoryPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwmodel::ModelSpec;
+    use simcore::time::SimTime;
+    use workload::request::{ModelId, Request, RequestId, SloClass};
 
     const GB: u64 = 1_000_000_000;
+
+    fn rr(id: u64, input: u32, output: u32) -> RunningRequest {
+        RunningRequest::new(Request {
+            id: RequestId(id),
+            model: ModelId(0),
+            arrival: SimTime::ZERO,
+            input_len: input,
+            output_len: output,
+            class: SloClass::default(),
+            session: Default::default(),
+        })
+    }
+
+    #[test]
+    fn kv_required_follows_equation_two() {
+        let c = ModelSpec::llama2_7b().kv_bytes_per_token();
+        let bytes = |tokens: f64| (tokens * c as f64).ceil() as u64;
+        // No requests: floor applies (L_min = 4096 tokens).
+        assert_eq!(required_bytes(&[], None, 200.0, 4096, c), bytes(4096.0));
+        // Two requests: Σ (I_r + max(O_r, Ō)) = (1000+200) + (3000+200).
+        let mut live = vec![rr(1, 1000, 900), rr(2, 3000, 64)];
+        let expect = bytes(1000.0 + 200.0 + 3000.0 + 200.0);
+        assert_eq!(required_bytes(&live, None, 200.0, 4096, c), expect);
+        // Produced tokens past the mean count in place of it.
+        live[0].tokens_out = 500;
+        let expect = bytes(1000.0 + 500.0 + 3000.0 + 200.0);
+        assert_eq!(required_bytes(&live, None, 200.0, 4096, c), expect);
+        // A candidate adds its prefill length plus Ō; after a migration
+        // that is its whole context, the tokens it produced included.
+        let mut cand = rr(3, 2000, 64);
+        cand.tokens_out = 40;
+        let expect = bytes(1000.0 + 500.0 + 3000.0 + 200.0 + 2040.0 + 200.0);
+        assert_eq!(required_bytes(&live, Some(&cand), 200.0, 4096, c), expect);
+        // Alone on a new instance, the candidate still meets the floor.
+        assert_eq!(
+            required_bytes(&[], Some(&cand), 200.0, 4096, c),
+            bytes(4096.0)
+        );
+    }
 
     #[test]
     fn watermark_formulas() {

@@ -3,16 +3,17 @@
 //!
 //! On arrival a request is offered to existing instances of its model —
 //! CPU-first, largest-batch-first (§VIII-B) — each gated by shadow
-//! validation (§VI-C) *and* a memory check (§VII). If every instance is
-//! blocked on memory, the consolidator tries proactive preemption (§VIII-A).
-//! Failing that, a new instance is bin-packed onto the tightest-fitting
-//! feasible node. Failing that, the request queues and is dropped at its
-//! TTFT deadline (§IX-A). Nodes execute via token-level min-headroom
-//! scheduling (Eq. 1, Fig. 14); KV grants ride the watermark policy through
-//! the optimistic/pessimistic orchestrator.
+//! validation (§VI-C) *and* a memory plan for its Eq. 2 demand (§VII). If
+//! every instance is blocked on memory, the consolidator tries proactive
+//! preemption (§VIII-A). Failing that, a new instance is bin-packed onto
+//! the tightest-fitting feasible node. Failing that, the request queues and
+//! is dropped at its TTFT deadline (§IX-A). Nodes execute via token-level
+//! min-headroom scheduling (Eq. 1, Fig. 14); KV grants ride the watermark
+//! policy through the optimistic/pessimistic orchestrator.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use cluster::world::StartError;
 use cluster::{
     evict_most_headroom, Backlog, ClusterEvent, Handoffs, MemError, NodeId, Policy, World,
 };
@@ -24,7 +25,9 @@ use workload::request::{ModelId, RequestId};
 
 use crate::config::SlinferConfig;
 use crate::consolidate::{order_candidates, pick_victim, victim_footprint};
-use crate::memory::{recommend_bytes, should_scale_down, MemoryPlanner, ScaleDecision};
+use crate::memory::{
+    recommend_bytes, required_bytes, should_scale_down, MemoryPlanner, ScaleDecision,
+};
 use crate::quantify::QuantifierSet;
 use crate::shadow::{validate, InstView, ShadowReq, Verdict};
 
@@ -37,6 +40,18 @@ const DEFAULT_AVG_OUTPUT: f64 = 256.0;
 
 /// Liveness sweep period.
 const SWEEP_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// How an existing instance answered [`Slinfer::offer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Offer {
+    /// The instance took the request.
+    Admitted,
+    /// The pool, the node, CPU feasibility or shadow validation said no.
+    Refused,
+    /// Only memory said no: the node cannot grow the grant to the Eq. 2
+    /// demand, which makes the instance a §VIII-A preemption target.
+    MemoryBlocked,
+}
 
 /// The SLINFER serving policy.
 ///
@@ -56,8 +71,6 @@ pub struct Slinfer {
     avg_out: BTreeMap<u32, (f64, u64)>,
     /// Requests awaiting placement, with their drop timers.
     backlog: Backlog,
-    /// When each slot's in-flight iteration ends (shadow start times).
-    busy_until: BTreeMap<(u32, usize), SimTime>,
     /// Approved scale ops waiting for their instance to be free. Ordered:
     /// [`Self::try_issue_wanted`] iterates this map, and issue order must
     /// not depend on hash randomness or replays stop being byte-identical
@@ -86,7 +99,6 @@ impl Slinfer {
             planner: None,
             avg_out: BTreeMap::new(),
             backlog: Backlog::default(),
-            busy_until: BTreeMap::new(),
             wanted_scale: BTreeMap::new(),
             issued_scale: BTreeMap::new(),
             expected_active: BTreeMap::new(),
@@ -114,10 +126,19 @@ impl Slinfer {
         }
     }
 
-    /// Floor of the KV demand estimate, in tokens: the model's maximum
-    /// context length (§VII-A's `L_min`).
-    fn l_min(w: &World, model: ModelId) -> u32 {
-        w.model_spec(model).max_context
+    /// Eq. 2 for `inst`: the KV bytes its live requests, plus an optional
+    /// `candidate`, require. `L_min` is the model's maximum context length
+    /// (§VII-A).
+    fn required(&self, w: &World, inst: InstanceId, candidate: Option<&RunningRequest>) -> u64 {
+        w.instance(inst).map_or(0, |i| {
+            required_bytes(
+                i.requests(),
+                candidate,
+                self.avg_output(i.model),
+                i.spec.max_context,
+                i.spec.kv_bytes_per_token(),
+            )
+        })
     }
 
     fn node_allowed(&self, w: &World, node: NodeId, model: ModelId) -> bool {
@@ -194,15 +215,6 @@ impl Slinfer {
         prefill_ok && decode_ok
     }
 
-    /// When every slot of `group` on `node` has finished its scheduled
-    /// iterations (now at the earliest) — where a shadow replay starts.
-    fn group_free_at(&self, w: &World, node: NodeId, group: &[usize]) -> SimTime {
-        group
-            .iter()
-            .filter_map(|&s| self.busy_until.get(&(node.0, s)))
-            .fold(w.now(), |t, &b| t.max(b))
-    }
-
     /// The instances contending any slot of `slots` on `node`, deduped and
     /// ascending — the co-tenant set shadow validation replays. A TP group
     /// can overlap different neighbours on different slots, so a
@@ -218,39 +230,53 @@ impl Slinfer {
         ids
     }
 
-    /// Shadow-validates admitting `rr` to `target` (§VI-C).
-    fn shadow_check(&mut self, w: &mut World, target: InstanceId, rr: &RunningRequest) -> bool {
-        let Some((node, slot)) = w.instance_placement(target) else {
-            return false;
-        };
-        let target_slots: Vec<usize> = w
-            .instance_slots(target)
-            .map(|s| s.to_vec())
-            .unwrap_or_else(|| vec![slot]);
-        let ids = Self::colocated(w, node, &target_slots);
+    /// Shadow validation (§VI-C): replays the future schedule of every
+    /// instance contending `group` on `node` with `rr` admitted to
+    /// `target`, or to a new instance of its model claiming `group` when
+    /// `target` is `None`. `rr`'s SLO clock starts at `anchor`; the replay
+    /// starts once every slot of the group is free, and no earlier than
+    /// `ready`.
+    #[allow(clippy::too_many_arguments)]
+    fn shadow_check(
+        &mut self,
+        w: &mut World,
+        node: NodeId,
+        group: &[usize],
+        target: Option<InstanceId>,
+        rr: &RunningRequest,
+        anchor: SimTime,
+        ready: SimTime,
+    ) -> bool {
+        let ids = Self::colocated(w, node, group);
         self.ensure_instance_profiles(w, node, &ids);
-        let hw = w.node_hw(node).clone();
-        let mut start = self.group_free_at(w, node, &target_slots);
-        if let Some(&act) = self.expected_active.get(&target) {
-            start = start.max(act);
+        let share: f64 = group.iter().map(|&s| w.slot_share(node, s)).sum();
+        if target.is_none() {
+            self.ensure_profile(w, node, rr.req.model, share);
         }
-        // Candidate's grace: admitted-during-load requests get the load
-        // duration; approximate with expected activation for loading targets.
-        let cand_anchor = match self.expected_active.get(&target) {
-            Some(&act) if act > rr.req.arrival => act,
-            _ => rr.req.arrival + rr.grace,
-        };
+        let hw = w.node_hw(node).clone();
+        let start = group
+            .iter()
+            .fold(ready, |t, &s| t.max(w.slot_free_at(node, s)));
         let mut views: Vec<InstView> = ids
             .iter()
             .map(|&id| self.co_tenant_view(w, id, &hw))
             .collect();
-        let target_ix = ids
-            .iter()
-            .position(|&id| id == target)
-            .expect("the target sits on its own slots");
-        views[target_ix]
-            .reqs
-            .push(Self::shadow_req(w, rr, cand_anchor));
+        let target_ix = match target {
+            Some(t) => ids
+                .iter()
+                .position(|&id| id == t)
+                .expect("the target sits on its own slots"),
+            None => {
+                let spec = w.model_spec(rr.req.model);
+                let quant = self.quant.get(spec, &hw, share).expect("profiled above");
+                views.push(InstView {
+                    quant,
+                    reqs: Vec::new(),
+                });
+                views.len() - 1
+            }
+        };
+        views[target_ix].reqs.push(Self::shadow_req(w, rr, anchor));
         let cand_ix = views[target_ix].reqs.len() - 1;
         w.note_shadow_validation();
         validate(&mut views, target_ix, cand_ix, start, self.cfg.overestimate) == Verdict::Pass
@@ -294,21 +320,6 @@ impl Slinfer {
         }
     }
 
-    /// Eq. 2 requirement if `rr` joined `inst`.
-    fn required_with(&self, w: &World, inst: InstanceId, rr: &RunningRequest) -> u64 {
-        let i = w.instance(inst).expect("instance exists");
-        let avg = self.avg_output(i.model);
-        let lmin = Self::l_min(w, i.model);
-        let mut sum: f64 = i
-            .requests()
-            .iter()
-            .map(|r| r.req.input_len as f64 + (r.tokens_out as f64).max(avg))
-            .sum();
-        sum += rr.prefill_len() as f64 + avg;
-        let tokens = sum.max(lmin as f64);
-        (tokens * i.spec.kv_bytes_per_token() as f64).ceil() as u64
-    }
-
     /// The grant an instance is heading towards: the max of its current
     /// grant, any in-flight rescale target, and any approved-but-parked
     /// target.
@@ -322,10 +333,11 @@ impl Slinfer {
     /// Plans growth of `inst`'s grant to cover `require` bytes, trying the
     /// watermark-recommended size first and compromising at `require`
     /// (§VII-D). Coalesces with in-flight ops: the delta is planned on top
-    /// of the instance's future grant. Returns true if growth is approved
-    /// (executed, pending, or reserved).
+    /// of the instance's future grant. Returns true if the future grant
+    /// already covers `require` or growth is approved (executed, pending,
+    /// or reserved).
     fn plan_grow(&mut self, w: &mut World, inst: InstanceId, require: u64) -> bool {
-        let Some((node, _)) = w.instance_placement(inst) else {
+        let Some(node) = w.instance_placement(inst) else {
             return false;
         };
         if self.planner().has_reservation(node, inst) {
@@ -358,16 +370,6 @@ impl Slinfer {
         false
     }
 
-    /// Plans the memory side of admitting `rr` to `inst`. Returns false if
-    /// the node cannot (even with the §VII-D compromise) hold the demand.
-    fn memory_check(&mut self, w: &mut World, inst: InstanceId, rr: &RunningRequest) -> bool {
-        let require = self.required_with(w, inst, rr);
-        if self.future_grant(w, inst) >= require {
-            return true;
-        }
-        self.plan_grow(w, inst, require)
-    }
-
     /// Re-evaluates a node's parked memory work after physical bytes were
     /// released (scale-down completion, unload, preemption) — the
     /// reservation-station notification of §VII-C.
@@ -386,11 +388,7 @@ impl Slinfer {
         let candidates: Vec<(InstanceId, u64)> = self
             .wanted_scale
             .iter()
-            .filter(|(&i, _)| {
-                w.instance_placement(i)
-                    .map(|(n, _)| n == node)
-                    .unwrap_or(false)
-            })
+            .filter(|(&i, _)| w.instance_placement(i) == Some(node))
             .map(|(&i, &t)| (i, t))
             .collect();
         for (inst, to) in candidates {
@@ -432,7 +430,7 @@ impl Slinfer {
         if !self.cfg.enable_sharing {
             return; // exclusive instances keep their full grant
         }
-        let Some((node, _)) = w.instance_placement(inst) else {
+        let Some(node) = w.instance_placement(inst) else {
             return;
         };
         let Some(i) = w.instance(inst) else { return };
@@ -443,10 +441,7 @@ impl Slinfer {
         {
             return;
         }
-        let avg = self.avg_output(i.model);
-        let lmin = Self::l_min(w, i.model);
-        let require = i.kv_required_bytes(avg, lmin);
-        let recommend = recommend_bytes(require, self.cfg.watermark);
+        let recommend = recommend_bytes(self.required(w, inst, None), self.cfg.watermark);
         let cur = i.kv_capacity_bytes();
         if !should_scale_down(cur, recommend, self.cfg.watermark) {
             return;
@@ -462,14 +457,62 @@ impl Slinfer {
         }
     }
 
-    /// Full §V admission pipeline. Returns true if the request was placed.
-    fn try_place(&mut self, w: &mut World, rr: &RunningRequest, allow_preempt: bool) -> bool {
-        self.try_place_excluding(w, rr, allow_preempt, None)
+    /// Admits `rr` to `inst`: a waiting request joins its queue, a
+    /// prefilled one (a PD handoff) its decode batch, which fails if the
+    /// grant cannot hold the shipped KV.
+    fn admit(w: &mut World, inst: InstanceId, rr: &RunningRequest) -> bool {
+        if matches!(rr.phase, ReqPhase::Waiting) {
+            w.admit(inst, rr.clone());
+            true
+        } else {
+            w.admit_decoding(inst, rr.clone())
+        }
     }
 
-    /// [`Self::try_place`] with an optional instance to skip (used when
-    /// rescheduling a request evicted from that very instance).
-    fn try_place_excluding(
+    /// Offers `rr` to the existing instance `inst` and admits it if every
+    /// §V check passes, in order: the pool (in PD mode a waiting request
+    /// enters a prefill instance, a prefilled one a decode instance), the
+    /// node, the CPU's SLO feasibility for a request still to prefill,
+    /// shadow validation, and the memory plan for the Eq. 2 demand.
+    fn offer(&mut self, w: &mut World, inst: InstanceId, rr: &RunningRequest) -> Offer {
+        let Some(node) = w.instance_placement(inst) else {
+            return Offer::Refused;
+        };
+        let waiting = matches!(rr.phase, ReqPhase::Waiting);
+        if self.cfg.pd_disaggregate && self.prefill_insts.contains(&inst) != waiting {
+            return Offer::Refused;
+        }
+        if !self.node_allowed(w, node, rr.req.model)
+            || (waiting && !self.request_feasible_on(w, node, rr))
+        {
+            return Offer::Refused;
+        }
+        // A loading target starts the candidate's SLO clock (if it arrived
+        // earlier) and its replay at the expected activation.
+        let act = self.expected_active.get(&inst).copied();
+        let anchor = match act {
+            Some(act) if act > rr.req.arrival => act,
+            _ => rr.req.arrival + rr.grace,
+        };
+        let ready = act.unwrap_or(w.now());
+        let group = w.instance_slots(inst).unwrap_or_default().to_vec();
+        if !self.shadow_check(w, node, &group, Some(inst), rr, anchor, ready) {
+            return Offer::Refused;
+        }
+        let require = self.required(w, inst, Some(rr));
+        if !self.plan_grow(w, inst, require) {
+            return Offer::MemoryBlocked;
+        }
+        if Self::admit(w, inst, rr) {
+            Offer::Admitted
+        } else {
+            Offer::Refused
+        }
+    }
+
+    /// Full §V admission pipeline for a request still to prefill, never
+    /// offering it to `exclude`. Returns true if the request was placed.
+    fn try_place(
         &mut self,
         w: &mut World,
         rr: &RunningRequest,
@@ -482,50 +525,21 @@ impl Slinfer {
         // holding its parked prefix KV, subject to the same §V admission
         // checks as any other candidate. On any failure it falls through to
         // the normal ordered scan (inert when sessions are off).
-        if let Some(home) = w.session_affinity_target(&rr.req) {
-            if Some(home) != exclude
-                && (!self.cfg.pd_disaggregate || self.prefill_insts.contains(&home))
-            {
-                if let Some((node, _)) = w.instance_placement(home) {
-                    if self.node_allowed(w, node, model)
-                        && self.request_feasible_on(w, node, rr)
-                        && self.shadow_check(w, home, rr)
-                        && self.memory_check(w, home, rr)
-                    {
-                        w.admit(home, rr.clone());
-                        return true;
-                    }
-                }
-            }
+        let home = w
+            .session_affinity_target(&rr.req)
+            .filter(|&h| Some(h) != exclude);
+        if home.is_some_and(|h| self.offer(w, h, rr) == Offer::Admitted) {
+            return true;
         }
         let candidates =
             order_candidates(w, model, self.cfg.enable_cpu, self.cfg.enable_consolidation);
         let mut mem_blocked: Vec<InstanceId> = Vec::new();
-        for inst in candidates {
-            if Some(inst) == exclude {
-                continue;
+        for inst in candidates.into_iter().filter(|&i| Some(i) != exclude) {
+            match self.offer(w, inst, rr) {
+                Offer::Admitted => return true,
+                Offer::MemoryBlocked => mem_blocked.push(inst),
+                Offer::Refused => {}
             }
-            if self.cfg.pd_disaggregate && !self.prefill_insts.contains(&inst) {
-                continue; // arrivals only enter the prefill pool in PD mode
-            }
-            let Some((node, _)) = w.instance_placement(inst) else {
-                continue;
-            };
-            if !self.node_allowed(w, node, model) {
-                continue;
-            }
-            if !self.request_feasible_on(w, node, rr) {
-                continue;
-            }
-            if !self.shadow_check(w, inst, rr) {
-                continue;
-            }
-            if !self.memory_check(w, inst, rr) {
-                mem_blocked.push(inst);
-                continue;
-            }
-            w.admit(inst, rr.clone());
-            return true;
         }
         // §VIII-A proactive consolidation.
         if allow_preempt && self.cfg.enable_consolidation {
@@ -542,14 +556,14 @@ impl Slinfer {
     /// Preempts the smallest-batch neighbour of `target` and reroutes its
     /// requests, then admits `rr` to `target` (§VIII-A).
     fn try_preempt_for(&mut self, w: &mut World, target: InstanceId, rr: &RunningRequest) -> bool {
-        let Some((node, _)) = w.instance_placement(target) else {
+        let Some(node) = w.instance_placement(target) else {
             return false;
         };
         let Some(victim) = pick_victim(w, target) else {
             return false;
         };
-        // Shadow-validate that the freed bytes actually cover the demand.
-        let require = self.required_with(w, target, rr);
+        // Check that the freed bytes actually cover the demand.
+        let require = self.required(w, target, Some(rr));
         let cur = w
             .instance(target)
             .map(|i| i.kv_capacity_bytes())
@@ -583,12 +597,14 @@ impl Slinfer {
         w.note_preemption();
         w.note_migration(&victim_reqs);
         for moved in drained {
-            if !self.try_place(w, &moved, false) {
+            if !self.try_place(w, &moved, false, None) {
                 self.backlog.push(w, moved);
             }
         }
-        // Now retry the target's memory path and admit.
-        if self.memory_check(w, target, rr) {
+        // Now retry the target's memory path (the reroutes may have landed
+        // there) and admit.
+        let require = self.required(w, target, Some(rr));
+        if self.plan_grow(w, target, require) {
             w.admit(target, rr.clone());
             true
         } else {
@@ -600,10 +616,13 @@ impl Slinfer {
     fn try_create(&mut self, w: &mut World, rr: &RunningRequest, as_prefill: bool) -> bool {
         let model = rr.req.model;
         let spec = w.model_spec(model).clone();
-        let avg = self.avg_output(model);
-        let lmin = Self::l_min(w, model);
-        let first_tokens = (rr.prefill_len() as f64 + avg).max(lmin as f64);
-        let require = (first_tokens * spec.kv_bytes_per_token() as f64).ceil() as u64;
+        let require = required_bytes(
+            &[],
+            Some(rr),
+            self.avg_output(model),
+            spec.max_context,
+            spec.kv_bytes_per_token(),
+        );
         let grant = recommend_bytes(require, self.cfg.watermark);
 
         // Order nodes: CPU (if feasible) before GPU; then ServerlessLLM's
@@ -646,8 +665,17 @@ impl Slinfer {
             let Some(group) = w.slot_group_for(node, tp) else {
                 continue;
             };
-            // Validate the newcomer against the node's existing tenants.
-            if !self.shadow_check_new(w, node, &group, rr) {
+            // Estimate the activation time *before* creating: the fetch
+            // promotes the checkpoint and joins the loading channel, so a
+            // post-create estimate would price the warmer, busier state
+            // instead of the load actually being issued. (Identical either
+            // way under the flat default configuration.)
+            let act = w.now() + SimDuration::from_secs_f64(w.estimate_load_s(model, node));
+            // Validate the newcomer against the node's existing tenants;
+            // the cold start delays both its SLO clock and its first
+            // iteration.
+            let anchor = act.max(rr.req.arrival + rr.grace);
+            if !self.shadow_check(w, node, &group, None, rr, anchor, act) {
                 continue;
             }
             let effective_grant = if self.cfg.enable_sharing {
@@ -657,12 +685,6 @@ impl Slinfer {
                 w.node_available_bytes(node)
                     .saturating_sub(spec.weights_bytes())
             };
-            // Estimate the activation time *before* creating: the fetch
-            // below promotes the checkpoint and joins the loading channel,
-            // so a post-create estimate would price the warmer, busier
-            // state instead of the load actually being issued. (Identical
-            // either way under the flat default configuration.)
-            let act = w.now() + SimDuration::from_secs_f64(w.estimate_load_s(model, node));
             match w.create_instance_group(model, node, &group, effective_grant) {
                 Ok(inst) => {
                     self.planner()
@@ -671,9 +693,7 @@ impl Slinfer {
                     if self.cfg.pd_disaggregate && as_prefill {
                         self.prefill_insts.insert(inst);
                     }
-                    if matches!(rr.phase, ReqPhase::Waiting) {
-                        w.admit(inst, rr.clone());
-                    } else if !w.admit_decoding(inst, rr.clone()) {
+                    if !Self::admit(w, inst, rr) {
                         continue; // fresh grant too small for the context
                     }
                     return true;
@@ -684,74 +704,26 @@ impl Slinfer {
         false
     }
 
-    /// Shadow validation for a brand-new instance claiming `group` on
-    /// `node`, holding only the candidate.
-    fn shadow_check_new(
-        &mut self,
-        w: &mut World,
-        node: NodeId,
-        group: &[usize],
-        rr: &RunningRequest,
-    ) -> bool {
-        let ids = Self::colocated(w, node, group);
-        self.ensure_instance_profiles(w, node, &ids);
-        let cand_share: f64 = group.iter().map(|&s| w.slot_share(node, s)).sum();
-        self.ensure_profile(w, node, rr.req.model, cand_share);
-        let hw = w.node_hw(node).clone();
-        let start = self.group_free_at(w, node, group);
-        // Cold start shifts the candidate's anchor by the load time (grace).
-        let act = w.now() + SimDuration::from_secs_f64(w.estimate_load_s(rr.req.model, node));
-        let mut views = Vec::with_capacity(ids.len() + 1);
-        views.extend(ids.iter().map(|&id| self.co_tenant_view(w, id, &hw)));
-        let spec = w.model_spec(rr.req.model);
-        let q_new = self
-            .quant
-            .get(spec, &hw, cand_share)
-            .expect("profiled above");
-        views.push(InstView {
-            quant: q_new,
-            reqs: vec![Self::shadow_req(w, rr, act.max(rr.req.arrival + rr.grace))],
-        });
-        let target = views.len() - 1;
-        w.note_shadow_validation();
-        validate(&mut views, target, 0, start.max(act), self.cfg.overestimate) == Verdict::Pass
-    }
-
     /// PD mode: lands a prefilled request on a decode instance (§IX-G).
     fn place_decode(&mut self, w: &mut World, rr: RunningRequest) -> Result<(), RunningRequest> {
         let model = rr.req.model;
         let candidates =
             order_candidates(w, model, self.cfg.enable_cpu, self.cfg.enable_consolidation);
-        for inst in candidates {
-            if self.prefill_insts.contains(&inst) {
-                continue;
-            }
-            let Some((node, _)) = w.instance_placement(inst) else {
-                continue;
-            };
-            if !self.node_allowed(w, node, model) {
-                continue;
-            }
-            if !self.shadow_check(w, inst, &rr) {
-                continue;
-            }
-            if !self.memory_check(w, inst, &rr) {
-                continue;
-            }
-            if w.admit_decoding(inst, rr.clone()) {
-                return Ok(());
-            }
+        if candidates
+            .into_iter()
+            .any(|inst| self.offer(w, inst, &rr) == Offer::Admitted)
+            || self.try_create(w, &rr, false)
+        {
+            Ok(())
+        } else {
+            Err(rr)
         }
-        if self.try_create(w, &rr, false) {
-            return Ok(());
-        }
-        Err(rr)
     }
 
     /// Offers every live queued request the full admission pipeline again.
     fn retry_queue(&mut self, w: &mut World) {
         for rr in self.backlog.take_live(w) {
-            if !self.try_place(w, &rr, true) {
+            if !self.try_place(w, &rr, true, None) {
                 self.backlog.requeue(rr);
             }
         }
@@ -759,7 +731,7 @@ impl Slinfer {
 
     /// Removes all scheduler state tied to an instance being unloaded.
     fn cancel_instance_state(&mut self, w: &World, inst: InstanceId) {
-        if let Some((node, _)) = w.instance_placement(inst) {
+        if let Some(node) = w.instance_placement(inst) {
             // Refund a parked (approved) op.
             if let Some(to) = self.wanted_scale.remove(&inst) {
                 let cur = w.instance(inst).map(|i| i.kv_capacity_bytes()).unwrap_or(0);
@@ -814,7 +786,7 @@ impl Policy for Slinfer {
 
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         self.ensure_init(w);
-        if !self.try_place(w, &rr, true) {
+        if !self.try_place(w, &rr, true, None) {
             self.backlog.push(w, rr);
         }
     }
@@ -857,26 +829,12 @@ impl Policy for Slinfer {
             }
             let Some((_, inst, kind)) = best else { return };
             match w.start_iteration(inst, kind) {
-                Ok(dur) => {
-                    // The whole slot group is occupied until the iteration
-                    // completes; shadow starts must see every slot busy.
-                    let group: Vec<usize> = w.instance_slots(inst).expect("just started").to_vec();
-                    for s in group {
-                        self.busy_until.insert((node.0, s), now + dur);
-                    }
-                    return;
-                }
-                Err(cluster::world::StartError::GroupBusy) => return,
-                Err(cluster::world::StartError::KvExhausted(req)) => {
+                Ok(_) | Err(StartError::GroupBusy) => return,
+                Err(StartError::KvExhausted(req)) => {
                     banned.insert(req);
                     // The grant is short: plan an immediate scale-up on top
                     // of whatever op is already heading this way.
-                    let require = {
-                        let Some(i) = w.instance(inst) else { continue };
-                        let avg = self.avg_output(i.model);
-                        let lmin = Self::l_min(w, i.model);
-                        i.kv_required_bytes(avg, lmin)
-                    };
+                    let require = self.required(w, inst, None);
                     let _ = self.plan_grow(w, inst, require);
                 }
             }
@@ -896,7 +854,7 @@ impl Policy for Slinfer {
 
     fn on_scale_done(&mut self, w: &mut World, inst: InstanceId) {
         self.issued_scale.remove(&inst);
-        if let Some((node, _)) = w.instance_placement(inst) {
+        if let Some(node) = w.instance_placement(inst) {
             self.nudge_memory(w, node);
         }
         self.retry_queue(w);
@@ -911,30 +869,21 @@ impl Policy for Slinfer {
     }
 
     fn on_alloc_failure(&mut self, w: &mut World, inst: InstanceId, _req: RequestId) {
-        // §VII-D: try to scale up once more; if the node is out of memory,
+        // §VII-D: try to scale up once more (to Eq. 2, and at least one
+        // more block per live request); if the node is out of memory,
         // evict the request with the longest headroom and reschedule it.
-        let (model, require_floor) = {
-            let Some(i) = w.instance(inst) else { return };
-            (
-                i.model,
-                i.kv_used_bytes() + i.spec.kv_bytes_per_token() * 16 * i.live_count().max(1) as u64,
-            )
-        };
-        let avg = self.avg_output(model);
-        let lmin = Self::l_min(w, model);
-        let require = w
-            .instance(inst)
-            .map(|i| i.kv_required_bytes(avg, lmin))
-            .unwrap_or(0)
-            .max(require_floor);
-        if self.future_grant(w, inst) >= require || self.plan_grow(w, inst, require) {
+        let Some(i) = w.instance(inst) else { return };
+        let one_more_block =
+            i.kv_used_bytes() + i.spec.kv_bytes_per_token() * 16 * i.live_count().max(1) as u64;
+        let require = self.required(w, inst, None).max(one_more_block);
+        if self.plan_grow(w, inst, require) {
             return; // relief is (or will be) on the way
         }
         let Some(moved) = evict_most_headroom(w, inst) else {
             return;
         };
         // Never bounce the eviction straight back onto the starved instance.
-        if !self.try_place_excluding(w, &moved, false, Some(inst)) {
+        if !self.try_place(w, &moved, false, Some(inst)) {
             self.backlog.push(w, moved);
         }
     }
@@ -943,7 +892,7 @@ impl Policy for Slinfer {
         let Some(i) = w.instance(inst).filter(|i| i.is_idle()) else {
             return;
         };
-        let Some((node, _)) = w.instance_placement(inst) else {
+        let Some(node) = w.instance_placement(inst) else {
             return;
         };
         let footprint = i.footprint_bytes();
@@ -970,44 +919,18 @@ impl Policy for Slinfer {
                 self.planner().retire_node(*node);
                 // Reroute parked scale-ops: drop every op pinned to the
                 // retiring node or to an instance that no longer exists.
-                let gone = |w: &World, i: InstanceId| {
-                    w.instance_placement(i)
-                        .map(|(n, _)| n == *node)
-                        .unwrap_or(true)
-                };
-                let stale: Vec<InstanceId> = self
-                    .wanted_scale
-                    .keys()
-                    .copied()
-                    .filter(|&i| gone(w, i))
-                    .collect();
-                for i in stale {
-                    self.wanted_scale.remove(&i);
-                }
-                let issued_stale: Vec<InstanceId> = self
-                    .issued_scale
-                    .keys()
-                    .copied()
-                    .filter(|&i| gone(w, i))
-                    .collect();
-                for i in issued_stale {
-                    self.issued_scale.remove(&i);
-                }
-                self.expected_active.retain(|&i, _| !gone(w, i));
-                self.prefill_insts.retain(|&i| !gone(w, i));
-                if matches!(ev, ClusterEvent::NodeFail(_)) {
-                    // In-flight iterations died with the node.
-                    for slot in 0..w.slot_count(*node) {
-                        self.busy_until.remove(&(node.0, slot));
-                    }
-                }
+                let gone = |i: &InstanceId| w.instance_placement(*i).is_none_or(|n| n == *node);
+                self.wanted_scale.retain(|i, _| !gone(i));
+                self.issued_scale.retain(|i, _| !gone(i));
+                self.expected_active.retain(|i, _| !gone(i));
+                self.prefill_insts.retain(|i| !gone(i));
             }
         }
         // Re-place what the event displaced, then drain the global queue —
         // a join may have opened capacity, a drain may force queued work
         // onto other nodes.
         for rr in displaced {
-            if !self.try_place(w, &rr, true) {
+            if !self.try_place(w, &rr, true, None) {
                 self.backlog.push(w, rr);
             }
         }

@@ -8,7 +8,7 @@
 //! detlint machine-enforces those invariants on every PR instead.
 //!
 //! Rules (see [`report::Rule`]), suppression syntax (see [`suppress`]),
-//! and the grandfather baseline (see [`baseline`]) are documented in the
+//! and the path configuration (see [`config`]) are documented in the
 //! README's "Determinism lints" section. Run it with:
 //!
 //! ```text
@@ -17,16 +17,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
+pub mod config;
 pub mod lexer;
-pub mod registry;
 pub mod report;
 pub mod rules;
 pub mod suppress;
 
 use std::path::{Path, PathBuf};
 
-use baseline::Config;
+use config::Config;
 use report::Diagnostic;
 use rules::FileCtx;
 
@@ -116,41 +115,14 @@ pub fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Options for a whole-workspace check.
-#[derive(Debug, Default)]
-pub struct CheckOpts {
-    /// Skip the registry ⟷ goldens cross-check (D006) — used when the
-    /// bench binary is unavailable, e.g. linting a partial tree.
-    pub no_registry: bool,
-    /// Read registry names from this JSON dump instead of running bench.
-    pub registry_json: Option<PathBuf>,
-}
-
-/// Lints the whole workspace rooted at `root` (suppressions applied,
-/// baseline NOT yet applied — callers partition against it afterwards so
-/// `--update-baseline` can see the full set).
-pub fn check_workspace(
-    root: &Path,
-    cfg: &Config,
-    opts: &CheckOpts,
-) -> Result<Vec<Diagnostic>, String> {
+/// Lints every source file of the workspace rooted at `root`
+/// (suppressions applied), sorted by file and line.
+pub fn check_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
     let mut diags = Vec::new();
     for file in workspace_files(root)? {
         let src = std::fs::read_to_string(&file)
             .map_err(|e| format!("reading {}: {e}", file.display()))?;
         diags.extend(check_source(&rel_path(root, &file), &src, cfg));
-    }
-    if !opts.no_registry {
-        let registry = match &opts.registry_json {
-            Some(p) => {
-                let src = std::fs::read_to_string(p)
-                    .map_err(|e| format!("reading {}: {e}", p.display()))?;
-                registry::parse_names(&src)?
-            }
-            None => registry::registry_names(root)?,
-        };
-        let goldens = registry::golden_names(root)?;
-        diags.extend(registry::cross_check(&registry, &goldens));
     }
     diags.sort();
     Ok(diags)

@@ -2,21 +2,19 @@
 //!
 //! ```text
 //! detlint check [--json] [--root DIR] [--config FILE]
-//!               [--registry-json FILE] [--no-registry] [--update-baseline]
 //! detlint rules
 //! ```
 //!
-//! Exit status: 0 clean (baselined findings allowed), 1 on any fresh
-//! diagnostic or stale baseline entry, 2 on usage or I/O errors.
+//! Exit status: 0 clean, 1 on any diagnostic, 2 on usage or I/O errors.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use detlint::baseline::{self, BaselineEntry, Config};
+use detlint::check_workspace;
+use detlint::config::{self, Config};
 use detlint::report::{to_json, Rule};
-use detlint::{check_workspace, CheckOpts};
 
 fn main() -> ExitCode {
     // detlint::allow(D004, "CLI argument intake for the linter itself; no simulation state")
@@ -31,8 +29,6 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!("usage: detlint <check|rules> [--json] [--root DIR] [--config FILE]");
-            eprintln!("                             [--registry-json FILE] [--no-registry]");
-            eprintln!("                             [--update-baseline]");
             ExitCode::from(2)
         }
     }
@@ -40,17 +36,13 @@ fn main() -> ExitCode {
 
 fn check_cmd(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut update_baseline = false;
     let mut root = PathBuf::from(".");
     let mut config: Option<PathBuf> = None;
-    let mut opts = CheckOpts::default();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--update-baseline" => update_baseline = true,
-            "--no-registry" => opts.no_registry = true,
             "--root" => match it.next() {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a directory"),
@@ -59,24 +51,12 @@ fn check_cmd(args: &[String]) -> ExitCode {
                 Some(v) => config = Some(PathBuf::from(v)),
                 None => return usage("--config needs a file"),
             },
-            "--registry-json" => match it.next() {
-                Some(v) => opts.registry_json = Some(PathBuf::from(v)),
-                None => return usage("--registry-json needs a file"),
-            },
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
 
     let config_path = config.unwrap_or_else(|| root.join("detlint.toml"));
-    let cfg = match load_config(&config_path) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let diags = match check_workspace(&root, &cfg, &opts) {
+    let diags = match load_config(&config_path).and_then(|cfg| check_workspace(&root, &cfg)) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("detlint: {e}");
@@ -84,48 +64,15 @@ fn check_cmd(args: &[String]) -> ExitCode {
         }
     };
 
-    if update_baseline {
-        let entries: Vec<BaselineEntry> = diags
-            .iter()
-            .map(|d| BaselineEntry {
-                rule: d.rule.code().to_string(),
-                file: d.file.clone(),
-                line: d.line,
-            })
-            .collect();
-        let rendered = baseline::render(&cfg, &entries);
-        if let Err(e) = std::fs::write(&config_path, rendered) {
-            eprintln!("detlint: writing {}: {e}", config_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "detlint: baselined {} finding(s) into {}",
-            entries.len(),
-            config_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut part = baseline::partition(diags, &cfg.baseline);
-    part.fresh.extend(part.stale);
-    part.fresh.sort();
-
     if json {
-        print!("{}", to_json(&part.fresh, &part.baselined));
+        print!("{}", to_json(&diags));
     } else {
-        for d in &part.fresh {
+        for d in &diags {
             println!("{d}");
         }
-        for d in &part.baselined {
-            println!("{d} [baselined]");
-        }
-        eprintln!(
-            "detlint: {} fresh diagnostic(s), {} baselined",
-            part.fresh.len(),
-            part.baselined.len()
-        );
+        eprintln!("detlint: {} diagnostic(s)", diags.len());
     }
-    if part.fresh.is_empty() {
+    if diags.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -134,9 +81,9 @@ fn check_cmd(args: &[String]) -> ExitCode {
 
 fn load_config(path: &PathBuf) -> Result<Config, String> {
     match std::fs::read_to_string(path) {
-        Ok(src) => baseline::parse(&src),
+        Ok(src) => config::parse(&src),
         // A missing config is an empty config: all rules at their
-        // built-in scope, no allowlists, no baseline.
+        // built-in scope, no allowlists.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Config::default()),
         Err(e) => Err(format!("reading {}: {e}", path.display())),
     }

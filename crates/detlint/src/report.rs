@@ -13,25 +13,22 @@ pub enum Rule {
     D001,
     /// Iteration over a hash-typed binding anywhere in the workspace.
     D002,
-    /// Wall-clock / OS entropy outside the timing allowlist.
+    /// Wall-clock / OS entropy outside the `[allow-paths]` allowlist.
     D003,
-    /// Process environment read outside the CLI intake allowlist.
+    /// Process environment read outside the `[allow-paths]` allowlist.
     D004,
     /// `unwrap`/`expect`/`panic!` in a hot path (`[hot-paths]`).
     D005,
-    /// Registry ⟷ goldens cross-check (orphan or missing golden).
-    D006,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 6] = [
         Rule::D000,
         Rule::D001,
         Rule::D002,
         Rule::D003,
         Rule::D004,
         Rule::D005,
-        Rule::D006,
     ];
 
     pub fn code(self) -> &'static str {
@@ -42,7 +39,6 @@ impl Rule {
             Rule::D003 => "D003",
             Rule::D004 => "D004",
             Rule::D005 => "D005",
-            Rule::D006 => "D006",
         }
     }
 
@@ -56,17 +52,10 @@ impl Rule {
             Rule::D000 => "suppression hygiene: bare/unknown/unused detlint::allow",
             Rule::D001 => "HashMap/HashSet in a state-bearing crate (use ordered containers)",
             Rule::D002 => "iteration over a hash container (order leaks into fingerprints)",
-            Rule::D003 => "wall-clock or OS entropy outside the timing allowlist",
-            Rule::D004 => "std::env read outside the CLI intake allowlist",
+            Rule::D003 => "wall-clock or OS entropy outside the [allow-paths] allowlist",
+            Rule::D004 => "std::env read outside the [allow-paths] allowlist",
             Rule::D005 => "unwrap/expect/panic! in a hot path",
-            Rule::D006 => "experiment registry and goldens set out of sync",
         }
-    }
-
-    /// Whether `// detlint::allow(rule, "…")` may suppress this rule.
-    /// D000 and the cross-file D006 cannot be inline-suppressed.
-    pub fn suppressible(self) -> bool {
-        !matches!(self, Rule::D000 | Rule::D006)
     }
 }
 
@@ -79,9 +68,9 @@ impl fmt::Display for Rule {
 /// One finding at a `file:line`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
-    /// Workspace-relative path (or the goldens dir for D006).
+    /// Workspace-relative path.
     pub file: String,
-    /// 1-based line; 0 for findings that are about a file set, not a line.
+    /// 1-based line.
     pub line: u32,
     pub rule: Rule,
     pub message: String,
@@ -100,44 +89,31 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: {} {}", self.file, self.rule, self.message)
-        } else {
-            write!(
-                f,
-                "{}:{}: {} {}",
-                self.file, self.line, self.rule, self.message
-            )
-        }
+        write!(
+            f,
+            "{}:{}: {} {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
 /// Renders diagnostics as a JSON array (stable field order, sorted input
 /// expected). Hand-emitted: the vendored serde_json has no parser and
 /// detlint stays dependency-free anyway.
-pub fn to_json(fresh: &[Diagnostic], baselined: &[Diagnostic]) -> String {
-    let mut s = String::from("[\n");
-    let mut first = true;
-    for (d, base) in fresh
+pub fn to_json(diags: &[Diagnostic]) -> String {
+    let rows: Vec<String> = diags
         .iter()
-        .map(|d| (d, false))
-        .chain(baselined.iter().map(|d| (d, true)))
-    {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        s.push_str(&format!(
-            "  {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"baselined\": {}, \"message\": \"{}\"}}",
-            d.rule,
-            escape(&d.file),
-            d.line,
-            base,
-            escape(&d.message),
-        ));
-    }
-    s.push_str("\n]\n");
-    s
+        .map(|d| {
+            format!(
+                "  {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
+                d.rule,
+                escape(&d.file),
+                d.line,
+                escape(&d.message),
+            )
+        })
+        .collect();
+    format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
 fn escape(s: &str) -> String {

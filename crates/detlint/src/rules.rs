@@ -88,9 +88,9 @@ pub struct FileCtx<'a> {
     /// True for integration tests / benches / fixtures, exempt from
     /// D003–D005 like `#[cfg(test)]` modules are.
     pub test_file: bool,
-    /// Paths (exact match) where D003 is permitted (timing layer).
+    /// Paths (exact match) where D003 is permitted (`[allow-paths]`).
     pub d003_allow: &'a [String],
-    /// Paths (exact match) where D004 is permitted (CLI intake).
+    /// Paths (exact match) where D004 is permitted (`[allow-paths]`).
     pub d004_allow: &'a [String],
     /// Paths D005 applies to (the `[hot-paths]` list).
     pub d005_paths: &'a [String],
@@ -232,7 +232,7 @@ pub fn check_tokens(ctx: &FileCtx<'_>, tokens: &[Token]) -> Vec<Diagnostic> {
             }
         }
 
-        // D003 — wall-clock / entropy outside the timing allowlist.
+        // D003 — wall-clock / entropy outside the allowlist.
         if !in_test(i) && !ctx.d003_allow.iter().any(|p| p == ctx.path) && is_ident(i) {
             let hit =
                 if t(i) == "Instant" && t(i + 1) == ":" && t(i + 2) == ":" && t(i + 3) == "now" {
@@ -259,7 +259,7 @@ pub fn check_tokens(ctx: &FileCtx<'_>, tokens: &[Token]) -> Vec<Diagnostic> {
             }
         }
 
-        // D004 — std::env reads outside the CLI intake allowlist.
+        // D004 — std::env reads outside the allowlist.
         if !in_test(i)
             && !ctx.d004_allow.iter().any(|p| p == ctx.path)
             && t(i) == "env"

@@ -50,7 +50,13 @@ pub fn parse(file: &str, lexed: &Lexed) -> Suppressions {
         let rest = rest.trim_start();
         match parse_args(rest) {
             Ok((code, justification)) => match Rule::from_code(&code) {
-                Some(rule) if rule.suppressible() => {
+                Some(Rule::D000) => out.malformed.push(Diagnostic::new(
+                    Rule::D000,
+                    file,
+                    c.line,
+                    "rule D000 cannot be inline-suppressed".to_string(),
+                )),
+                Some(rule) => {
                     let target = if c.standalone {
                         lexed.next_code_line(c.line + 1).unwrap_or(c.line)
                     } else {
@@ -63,12 +69,6 @@ pub fn parse(file: &str, lexed: &Lexed) -> Suppressions {
                         target,
                     });
                 }
-                Some(rule) => out.malformed.push(Diagnostic::new(
-                    Rule::D000,
-                    file,
-                    c.line,
-                    format!("rule {rule} cannot be inline-suppressed"),
-                )),
                 None => out.malformed.push(Diagnostic::new(
                     Rule::D000,
                     file,

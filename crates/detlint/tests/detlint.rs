@@ -1,12 +1,9 @@
 //! detlint's own test suite: every rule proven to fire at the right line
 //! on a bad fixture, suppression/justification round-trips, and the
-//! baseline add/expire lifecycle.
+//! committed workspace linting clean.
 
-use std::collections::BTreeSet;
-
-use detlint::baseline::{self, BaselineEntry, Config};
 use detlint::check_source;
-use detlint::registry;
+use detlint::config::{self, Config};
 use detlint::report::Rule;
 
 fn fixture(name: &str) -> String {
@@ -152,7 +149,6 @@ fn malformed_and_unknown_allows_are_d000() {
         "// detlint::allow(D003, \" \")\nfn f() {}\n",
         "// detlint::allow(D999, \"no such rule\")\nfn f() {}\n",
         "// detlint::allow(D000, \"meta-rule cannot be allowed\")\nfn f() {}\n",
-        "// detlint::allow(D006, \"cross-file rule cannot be inline-allowed\")\nfn f() {}\n",
         "// detlint::allow(D003, \"trailing garbage\") extra\nfn f() {}\n",
     ];
     for src in cases {
@@ -190,132 +186,10 @@ fn stacked_standalone_allows_cover_the_next_code_line() {
     assert_eq!(diags, Vec::new());
 }
 
-// -------------------------------------------------------------- baseline
-
-#[test]
-fn baseline_grandfathers_existing_findings_and_expires_stale_ones() {
-    let src = fixture("violations/d004.rs");
-    let diags = check_source("crates/workload/src/bad.rs", &src, &Config::default());
-    assert_eq!(diags.len(), 2);
-
-    // Add: grandfather everything the first run found.
-    let entries: Vec<BaselineEntry> = diags
-        .iter()
-        .map(|d| BaselineEntry {
-            rule: d.rule.code().to_string(),
-            file: d.file.clone(),
-            line: d.line,
-        })
-        .collect();
-    let part = baseline::partition(diags.clone(), &entries);
-    assert_eq!(part.fresh, Vec::new());
-    assert_eq!(part.baselined.len(), 2);
-    assert_eq!(part.stale, Vec::new());
-
-    // Expire: one finding is fixed; its baseline entry must turn stale.
-    let fixed: Vec<_> = diags.into_iter().skip(1).collect();
-    let part = baseline::partition(fixed, &entries);
-    assert_eq!(part.fresh, Vec::new());
-    assert_eq!(part.baselined.len(), 1);
-    assert_eq!(part.stale.len(), 1);
-    assert!(part.stale[0].message.contains("stale baseline entry"));
-
-    // A new finding elsewhere stays fresh despite the baseline.
-    let moved = check_source("crates/engine/src/other.rs", &src, &Config::default());
-    let part = baseline::partition(moved, &entries);
-    assert_eq!(part.fresh.len(), 2);
-}
-
-#[test]
-fn baseline_toml_round_trips() {
-    let mut cfg = Config::default();
-    cfg.allow_paths.insert(
-        "D003".to_string(),
-        vec!["crates/bench/src/cli.rs".to_string()],
-    );
-    cfg.hot_paths.insert(
-        "D005".to_string(),
-        vec![
-            "crates/cluster/src/world.rs".to_string(),
-            "crates/cluster/src/driver.rs".to_string(),
-        ],
-    );
-    let entries = vec![
-        BaselineEntry {
-            rule: "D005".to_string(),
-            file: "crates/cluster/src/world.rs".to_string(),
-            line: 453,
-        },
-        BaselineEntry {
-            rule: "D001".to_string(),
-            file: "crates/core/src/quantify.rs".to_string(),
-            line: 9,
-        },
-    ];
-    let rendered = baseline::render(&cfg, &entries);
-    let parsed = baseline::parse(&rendered).expect("round-trip parse");
-    assert_eq!(parsed.allow_paths, cfg.allow_paths);
-    assert_eq!(parsed.hot_paths, cfg.hot_paths);
-    let mut sorted = entries.clone();
-    sorted.sort();
-    assert_eq!(parsed.baseline, sorted);
-}
-
-#[test]
-fn incomplete_baseline_entries_are_rejected() {
-    let src = "[[baseline]]\nrule = \"D005\"\nfile = \"crates/x.rs\"\n";
-    assert!(
-        baseline::parse(src).is_err(),
-        "missing line must be an error"
-    );
-}
-
-// ------------------------------------------------------ registry (D006)
-
-#[test]
-fn d006_cross_check_reports_missing_and_orphan_goldens() {
-    let registry: BTreeSet<String> = ["fig04".to_string(), "scale".to_string()]
-        .into_iter()
-        .collect();
-    let goldens: BTreeSet<String> = ["fig04".to_string(), "old_fig".to_string()]
-        .into_iter()
-        .collect();
-    let diags = registry::cross_check(&registry, &goldens);
-    assert_eq!(diags.len(), 2);
-    assert!(diags.iter().all(|d| d.rule == Rule::D006));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("`scale` has no golden capture")));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("orphan golden `old_fig.json`")));
-
-    let diags = registry::cross_check(&registry, &registry);
-    assert_eq!(diags, Vec::new());
-}
-
-#[test]
-fn registry_dump_parsing_extracts_names() {
-    let json = r#"[
-      {"name": "fig04_sllm_capacity", "title": "Fig 4 — x", "quick_cells": 4},
-      {"name": "scale_burst", "title": "flash crowd \"burst\"", "quick_cells": 6}
-    ]"#;
-    let names = registry::parse_names(json).expect("parse");
-    let expect: BTreeSet<String> = ["fig04_sllm_capacity".to_string(), "scale_burst".to_string()]
-        .into_iter()
-        .collect();
-    assert_eq!(names, expect);
-    assert!(
-        registry::parse_names("[]").is_err(),
-        "empty registry is an error"
-    );
-}
-
 // ---------------------------------------------------- whole-repo dogfood
 
 /// The committed workspace must be clean under the committed config —
-/// the same invariant CI enforces, minus the registry cross-check (the
-/// bench binary may not exist when this test runs).
+/// the same invariant CI enforces.
 #[test]
 fn committed_workspace_is_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -323,17 +197,11 @@ fn committed_workspace_is_clean() {
         .and_then(|p| p.parent())
         .expect("workspace root");
     let cfg_src = std::fs::read_to_string(root.join("detlint.toml")).expect("detlint.toml");
-    let cfg = baseline::parse(&cfg_src).expect("detlint.toml parses");
-    let opts = detlint::CheckOpts {
-        no_registry: true,
-        ..Default::default()
-    };
-    let diags = detlint::check_workspace(root, &cfg, &opts).expect("walk");
-    let part = baseline::partition(diags, &cfg.baseline);
+    let cfg = config::parse(&cfg_src).expect("detlint.toml parses");
+    let diags = detlint::check_workspace(root, &cfg).expect("walk");
     assert_eq!(
-        part.fresh,
+        diags,
         Vec::new(),
-        "fresh determinism findings in the committed tree"
+        "determinism findings in the committed tree"
     );
-    assert_eq!(part.stale, Vec::new(), "stale baseline entries");
 }

@@ -1,15 +1,16 @@
 //! A serving instance: one model resident on one node slot.
 //!
-//! Holds the continuous batch and the paged KV pool, exposes iteration
-//! begin/finish transitions, and keeps the accounting (busy seconds, token
-//! counters, peak batch) the metrics layer reads. The instance never picks
-//! *when* to run — the policy does (token-level scheduling is SLINFER's
+//! Holds the continuous batch and the paged KV pool and exposes iteration
+//! begin/finish transitions; what happened is reported back through return
+//! values ([`PrefillStart`], [`DecodeOutcome`], finished requests), which
+//! the cluster layer turns into metrics. The instance never picks *when*
+//! to run — the policy does (token-level scheduling is SLINFER's
 //! §VI-A contribution; baselines run instances back-to-back).
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use workload::request::{ModelId, RequestId, SessionTag, Slo};
 
 use crate::blocks::BlockPool;
@@ -97,10 +98,6 @@ pub struct Instance {
     session_kv: BTreeMap<u64, SessionEntry>,
     /// Monotonic stamp source for deterministic session LRU.
     session_seq: u64,
-    /// Prefix tokens served from the local session cache.
-    pub prefix_hit_tokens: u64,
-    /// Session entries dropped under capacity pressure.
-    pub session_evictions: u64,
     /// True while an iteration executes.
     pub busy: bool,
     /// True while a KV rescale executes (iterations are blocked, §VII-B).
@@ -109,18 +106,6 @@ pub struct Instance {
     pub created_at: SimTime,
     /// When the instance last became empty, for keep-alive reclaim.
     pub idle_since: Option<SimTime>,
-    /// Total decode tokens produced (throughput accounting).
-    pub decode_tokens: u64,
-    /// Total prefill tokens processed.
-    pub prefill_tokens: u64,
-    /// Seconds spent computing iterations.
-    pub busy_secs: f64,
-    /// Seconds spent blocked on KV rescales.
-    pub scale_secs: f64,
-    /// Number of KV rescale operations performed.
-    pub scale_ops: u64,
-    /// Largest decode batch observed.
-    pub peak_batch: u32,
 }
 
 impl Instance {
@@ -144,18 +129,10 @@ impl Instance {
             retain_sessions: false,
             session_kv: BTreeMap::new(),
             session_seq: 0,
-            prefix_hit_tokens: 0,
-            session_evictions: 0,
             busy: false,
             scaling: false,
             created_at: now,
             idle_since: None,
-            decode_tokens: 0,
-            prefill_tokens: 0,
-            busy_secs: 0.0,
-            scale_secs: 0.0,
-            scale_ops: 0,
-            peak_batch: 0,
         }
     }
 
@@ -299,9 +276,6 @@ impl Instance {
             // Even the delta does not fit: drop the consumed entry so the
             // caller's recovery (rescale, shed, reroute) starts clean.
             self.pool.free(reuse_blocks);
-            if reuse_blocks > 0 {
-                self.session_evictions += 1;
-            }
             return None;
         }
         // Shrinking contexts cannot happen (context only grows), but guard
@@ -313,7 +287,6 @@ impl Instance {
         r.kv_blocks = blocks;
         r.phase = ReqPhase::Prefilling;
         self.busy = true;
-        self.prefix_hit_tokens += cached as u64;
         Some(PrefillStart {
             compute_tokens: (len - cached).max(1),
             cached_tokens: cached,
@@ -327,40 +300,21 @@ impl Instance {
     ///
     /// # Panics
     /// Panics if `id` is not the in-flight prefill.
-    pub fn finish_prefill(
-        &mut self,
-        id: RequestId,
-        now: SimTime,
-        elapsed: SimDuration,
-    ) -> (u32, Option<RunningRequest>) {
+    pub fn finish_prefill(&mut self, id: RequestId, now: SimTime) -> (u32, Option<RunningRequest>) {
         let ix = self.find(id).expect("unknown request");
+        let r = &mut self.requests[ix];
         assert!(
-            matches!(self.requests[ix].phase, ReqPhase::Prefilling),
+            matches!(r.phase, ReqPhase::Prefilling),
             "request not prefilling"
         );
-        let prefill_len;
-        let tokens_out;
-        let done;
-        {
-            let r = &mut self.requests[ix];
-            prefill_len = r.prefill_len() as u64;
-            r.tokens_out += 1;
-            tokens_out = r.tokens_out;
-            if r.first_token_at.is_none() {
-                r.first_token_at = Some(now);
-            }
-            done = r.is_finished();
-            r.phase = if done {
-                ReqPhase::Finished
-            } else {
-                ReqPhase::Decoding
-            };
-        }
-        self.prefill_tokens += prefill_len;
-        self.decode_tokens += 1;
+        r.tokens_out += 1;
+        let tokens_out = r.tokens_out;
+        r.phase = if r.is_finished() {
+            ReqPhase::Finished
+        } else {
+            ReqPhase::Decoding
+        };
         self.busy = false;
-        self.busy_secs += elapsed.as_secs_f64();
-        self.peak_batch = self.peak_batch.max(self.batch_size());
         let finished = self.collect_finished().pop();
         self.retire_finished(now);
         (tokens_out, finished)
@@ -383,10 +337,9 @@ impl Instance {
     /// Completes the in-flight decode iteration: every decoding sequence
     /// gains one token (if a KV block is available), finished sequences
     /// retire.
-    pub fn finish_decode(&mut self, now: SimTime, elapsed: SimDuration) -> DecodeOutcome {
+    pub fn finish_decode(&mut self, now: SimTime) -> DecodeOutcome {
         assert!(self.busy, "no decode in flight");
         self.busy = false;
-        self.busy_secs += elapsed.as_secs_f64();
         let mut outcome = DecodeOutcome::default();
         for ix in 0..self.requests.len() {
             if !matches!(self.requests[ix].phase, ReqPhase::Decoding) {
@@ -405,10 +358,6 @@ impl Instance {
             }
             let r = &mut self.requests[ix];
             r.tokens_out += 1;
-            self.decode_tokens += 1;
-            if r.first_token_at.is_none() {
-                r.first_token_at = Some(now);
-            }
             let done = r.is_finished();
             if done {
                 r.phase = ReqPhase::Finished;
@@ -460,7 +409,6 @@ impl Instance {
         while let Some(sid) = self.coldest_session() {
             let e = self.session_kv.remove(&sid).expect("coldest key exists");
             self.pool.free(e.blocks);
-            self.session_evictions += 1;
             if self.pool.try_alloc(blocks) {
                 return true;
             }
@@ -528,7 +476,6 @@ impl Instance {
             };
             let e = self.session_kv.remove(&sid).expect("coldest key exists");
             self.pool.free(e.blocks);
-            self.session_evictions += 1;
             n += 1;
         }
         n
@@ -614,9 +561,7 @@ impl Instance {
     /// Records a completed KV rescale; returns false if the new grant cannot
     /// hold live blocks (the caller must treat this as a hazard).
     #[must_use]
-    pub fn apply_kv_resize(&mut self, new_bytes: u64, elapsed: SimDuration) -> bool {
-        self.scale_secs += elapsed.as_secs_f64();
-        self.scale_ops += 1;
+    pub fn apply_kv_resize(&mut self, new_bytes: u64) -> bool {
         self.pool.try_resize(new_bytes)
     }
 
@@ -638,21 +583,6 @@ impl Instance {
     /// Total memory footprint committed on the node: weights + KV grant.
     pub fn footprint_bytes(&self) -> u64 {
         self.spec.weights_bytes() + self.pool.capacity_bytes()
-    }
-
-    /// Eq. 2 — the memory the instance *requires*:
-    /// `C · max(Σ_r (I_r + max(O_r, Ō)), L_min)`, where `Ō` is the
-    /// historical mean output length and `L_min` a floor in tokens
-    /// (the paper uses the model's maximum context length).
-    pub fn kv_required_bytes(&self, avg_output_len: f64, l_min_tokens: u32) -> u64 {
-        let sum: f64 = self
-            .requests
-            .iter()
-            .filter(|r| !matches!(r.phase, ReqPhase::Finished))
-            .map(|r| r.req.input_len as f64 + (r.tokens_out as f64).max(avg_output_len))
-            .sum();
-        let tokens = sum.max(l_min_tokens as f64);
-        (tokens * self.spec.kv_bytes_per_token() as f64).ceil() as u64
     }
 }
 
@@ -700,24 +630,21 @@ mod tests {
         assert_eq!(ps.compute_tokens, 100);
         assert_eq!(ps.cached_tokens, 0);
         assert!(i.busy);
-        i.finish_prefill(
-            RequestId(1),
-            SimTime::from_millis(500),
-            SimDuration::from_millis(500),
-        );
+        let (tokens_out, finished) = i.finish_prefill(RequestId(1), SimTime::from_millis(500));
+        assert_eq!(tokens_out, 1, "prefill produces the first token");
+        assert!(finished.is_none());
         assert_eq!(i.batch_size(), 1);
-        assert_eq!(i.decode_tokens, 1, "prefill produces the first token");
 
         // Two more decode iterations finish the request (output_len = 3).
         for step in 0..2 {
             let (bs, ctx) = i.begin_decode();
             assert_eq!(bs, 1);
             assert!(ctx >= 100);
-            let out = i.finish_decode(
-                SimTime::from_millis(600 + step * 100),
-                SimDuration::from_millis(100),
+            let out = i.finish_decode(SimTime::from_millis(600 + step * 100));
+            assert_eq!(
+                out.produced,
+                vec![(RequestId(1), 2 + step as u32, step == 1)]
             );
-            assert_eq!(out.produced.len(), 1);
         }
         assert_eq!(i.live_count(), 0);
         assert!(i.idle_since.is_some());
@@ -751,10 +678,10 @@ mod tests {
         i.activate(SimTime::ZERO);
         i.admit(rr(1, 15, 10));
         assert!(i.begin_prefill(RequestId(1)).is_some());
-        i.finish_prefill(RequestId(1), SimTime::ZERO, SimDuration::ZERO);
+        i.finish_prefill(RequestId(1), SimTime::ZERO);
         // context now 16; next token needs a second block that doesn't exist.
         i.begin_decode();
-        let out = i.finish_decode(SimTime::ZERO, SimDuration::ZERO);
+        let out = i.finish_decode(SimTime::ZERO);
         assert_eq!(out.alloc_failures, vec![RequestId(1)]);
         assert!(out.produced.is_empty());
         // The request did not advance.
@@ -770,11 +697,7 @@ mod tests {
         // …and a decoding request about to hit its deadline.
         i.admit(rr(2, 100, 4));
         assert!(i.begin_prefill(RequestId(2)).is_some());
-        i.finish_prefill(
-            RequestId(2),
-            SimTime::from_millis(100),
-            SimDuration::from_millis(100),
-        );
+        i.finish_prefill(RequestId(2), SimTime::from_millis(100));
         // At t close to req-2's next deadline, decode must win.
         let now = SimTime::from_millis(700);
         let (_, kind) = i.most_urgent(now, &slo).unwrap();
@@ -786,12 +709,14 @@ mod tests {
         let mut i = inst(8);
         i.admit(rr(1, 100, 50));
         assert!(i.begin_prefill(RequestId(1)).is_some());
-        i.finish_prefill(RequestId(1), SimTime::ZERO, SimDuration::ZERO);
+        i.finish_prefill(RequestId(1), SimTime::ZERO);
         let used = i.kv_used_bytes();
         assert!(used > 0);
         let r = i.remove_for_migration(RequestId(1), SimTime::from_secs(1));
         assert_eq!(i.kv_used_bytes(), 0);
-        assert_eq!(r.migrations, 1);
+        assert_eq!(r.phase, ReqPhase::Waiting);
+        assert_eq!(r.kv_blocks, 0);
+        assert_eq!(r.tokens_out, 1, "produced tokens survive the move");
         assert_eq!(i.live_count(), 0);
     }
 
@@ -801,7 +726,7 @@ mod tests {
         i.admit(rr(1, 100, 50));
         i.admit(rr(2, 100, 50));
         assert!(i.begin_prefill(RequestId(1)).is_some());
-        i.finish_prefill(RequestId(1), SimTime::ZERO, SimDuration::ZERO);
+        i.finish_prefill(RequestId(1), SimTime::ZERO);
         let drained = i.drain_for_preemption(SimTime::from_secs(1));
         assert_eq!(drained.len(), 2);
         assert!(drained.iter().all(|r| matches!(r.phase, ReqPhase::Waiting)));
@@ -810,25 +735,17 @@ mod tests {
     }
 
     #[test]
-    fn kv_required_follows_equation_two() {
-        let mut i = inst(8);
-        let c = i.spec.kv_bytes_per_token() as f64;
-        // No requests: floor applies (L_min = 4096 tokens).
-        assert_eq!(i.kv_required_bytes(200.0, 4096), (4096.0 * c) as u64);
-        // Two requests: Σ (I_r + max(O_r, Ō)) = (1000+200) + (3000+200).
-        i.admit(rr(1, 1000, 64));
-        i.admit(rr(2, 3000, 64));
-        let expect = ((1000.0 + 200.0 + 3000.0 + 200.0) * c).ceil() as u64;
-        assert_eq!(i.kv_required_bytes(200.0, 4096), expect);
-    }
-
-    #[test]
     fn resize_tracks_overhead() {
+        // The rescale's count and blocked seconds are the cluster layer's
+        // to record (`RunMetrics::scale_ops`, `scale_blocked_s`); the
+        // instance applies the new grant and guards its live blocks.
         let mut i = inst(8);
-        assert!(i.apply_kv_resize(16_000_000_000, SimDuration::from_millis(300)));
+        assert!(i.apply_kv_resize(16_000_000_000));
         assert_eq!(i.kv_capacity_bytes(), 16_000_000_000);
-        assert_eq!(i.scale_ops, 1);
-        assert!((i.scale_secs - 0.3).abs() < 1e-9);
+        i.admit(rr(1, 100, 4));
+        assert!(i.begin_prefill(RequestId(1)).is_some());
+        assert!(!i.apply_kv_resize(0), "a shrink below the live set fails");
+        assert_eq!(i.kv_capacity_bytes(), 16_000_000_000);
     }
 
     #[test]
@@ -856,10 +773,10 @@ mod tests {
 
     fn run_to_completion(i: &mut Instance, id: RequestId) {
         assert!(i.begin_prefill(id).is_some());
-        i.finish_prefill(id, SimTime::ZERO, SimDuration::ZERO);
+        i.finish_prefill(id, SimTime::ZERO);
         while i.requests().iter().any(|r| r.req.id == id) {
             i.begin_decode();
-            i.finish_decode(SimTime::ZERO, SimDuration::ZERO);
+            i.finish_decode(SimTime::ZERO);
         }
     }
 
@@ -880,7 +797,6 @@ mod tests {
         assert_eq!(ps.cached_tokens, 103);
         assert_eq!(ps.compute_tokens, 50);
         assert!(!i.has_session(7), "the entry is consumed by the turn");
-        assert_eq!(i.prefix_hit_tokens, 103);
     }
 
     #[test]
@@ -917,7 +833,7 @@ mod tests {
         assert!(i.begin_prefill(RequestId(3)).is_some());
         assert!(!i.has_session(1), "coldest session evicted first");
         assert!(i.has_session(2), "warmer session survives");
-        assert_eq!(i.session_evictions, 1);
+        assert_eq!(i.session_count(), 1);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! - [`request`] — the per-request state machine
 //!   (waiting → prefill → decode → finished) with token-deadline tracking.
 //! - [`instance`] — a model [`Instance`]: continuous batch, waiting queue,
-//!   KV pool, loading/active lifecycle, and the bookkeeping (busy time,
-//!   token counters) the metrics layer reads. With `retain_sessions` set,
+//!   KV pool and loading/active lifecycle; each transition returns what
+//!   happened (tokens produced, requests finished) for the cluster layer
+//!   to record. With `retain_sessions` set,
 //!   an instance also *parks* finished session turns' KV so a follow-up
 //!   turn's prefill skips the cached prefix (`begin_prefill` returns the
 //!   compute/cached token split; parked entries are evicted coldest-first

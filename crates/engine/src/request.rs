@@ -34,11 +34,6 @@ pub struct RunningRequest {
     pub grace: SimDuration,
     /// KV blocks currently held in the instance pool.
     pub kv_blocks: u64,
-    /// Time the first output token was produced, if any.
-    pub first_token_at: Option<SimTime>,
-    /// Number of migrations this request has survived (§VII-D eviction /
-    /// §VIII-A preemption reschedule both re-prefill elsewhere).
-    pub migrations: u32,
 }
 
 impl RunningRequest {
@@ -50,8 +45,6 @@ impl RunningRequest {
             tokens_out: 0,
             grace: SimDuration::ZERO,
             kv_blocks: 0,
-            first_token_at: None,
-            migrations: 0,
         }
     }
 
@@ -88,13 +81,13 @@ impl RunningRequest {
         self.context_tokens().max(1)
     }
 
-    /// Marks the request as migrated: KV is dropped, phase returns to
-    /// waiting, and the produced-token count is retained (users already
+    /// Marks the request as migrated (§VII-D eviction and §VIII-A
+    /// preemption both re-prefill elsewhere): KV is dropped, phase returns
+    /// to waiting, and the produced-token count is retained (users already
     /// streamed those tokens; only the cache must be rebuilt).
     pub fn begin_migration(&mut self) {
         self.phase = ReqPhase::Waiting;
         self.kv_blocks = 0;
-        self.migrations += 1;
     }
 }
 
@@ -155,7 +148,6 @@ mod tests {
         r.begin_migration();
         assert_eq!(r.phase, ReqPhase::Waiting);
         assert_eq!(r.kv_blocks, 0);
-        assert_eq!(r.migrations, 1);
         // Re-prefill must cover prompt + the 20 already-produced tokens.
         assert_eq!(r.prefill_len(), 120);
         assert_eq!(r.tokens_out, 20, "streamed tokens are not re-produced");

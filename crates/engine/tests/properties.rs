@@ -5,9 +5,9 @@ use proptest::prelude::*;
 
 use engine::blocks::{BlockPool, BLOCK_TOKENS};
 use engine::instance::{Instance, InstanceId};
-use engine::request::RunningRequest;
+use engine::request::{ReqPhase, RunningRequest};
 use hwmodel::ModelSpec;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use workload::request::{ModelId, Request, RequestId, SloClass};
 
 #[derive(Debug, Clone)]
@@ -100,25 +100,28 @@ proptest! {
             .iter()
             .map(|r| r.req.id)
             .collect();
+        // Token accounting: prefill produces 1 token per request, decode
+        // the rest.
+        let mut produced = 0u64;
         for id in waiting {
             prop_assert!(inst.begin_prefill(id).is_some());
-            inst.finish_prefill(id, now, SimDuration::from_millis(10));
+            inst.finish_prefill(id, now);
+            produced += 1;
         }
         let mut guard = 0;
         while inst.batch_size() > 0 {
             inst.begin_decode();
-            let out = inst.finish_decode(now, SimDuration::from_millis(10));
+            let out = inst.finish_decode(now);
             prop_assert!(out.alloc_failures.is_empty(), "KV was oversized");
+            produced += out.produced.len() as u64;
             guard += 1;
             prop_assert!(guard < 64, "decode loop must terminate");
         }
         prop_assert_eq!(inst.live_count(), 0);
         prop_assert_eq!(inst.kv_used_bytes(), 0, "all KV returned");
         prop_assert!(inst.idle_since.is_some());
-        // Token accounting: prefill produced 1 token per request, decode the
-        // rest.
         let expected: u64 = reqs.iter().map(|&(_, o)| o as u64).sum();
-        prop_assert_eq!(inst.decode_tokens, expected);
+        prop_assert_eq!(produced, expected);
     }
 
     /// Migration at any point conserves requests and frees exactly their KV.
@@ -153,41 +156,6 @@ proptest! {
         prop_assert_eq!(inst.live_count(), before - 1);
         prop_assert_eq!(moved.req.id, victim);
         prop_assert_eq!(moved.kv_blocks, 0);
-        prop_assert_eq!(moved.migrations, 1);
-    }
-
-    /// Eq. 2 is monotone in load and respects the L_min floor.
-    #[test]
-    fn kv_required_monotone(
-        loads in prop::collection::vec(64u32..4096, 0..10),
-        avg in 1f64..1024.0,
-        lmin in 1u32..8192,
-    ) {
-        let spec = ModelSpec::llama2_7b();
-        let c = spec.kv_bytes_per_token();
-        let mut inst = Instance::new(
-            InstanceId(1),
-            ModelId(0),
-            spec,
-            1_000_000_000,
-            SimTime::ZERO,
-        );
-        inst.activate(SimTime::ZERO);
-        let mut last = inst.kv_required_bytes(avg, lmin);
-        prop_assert!(last >= (lmin as u64) * c);
-        for (i, &input) in loads.iter().enumerate() {
-            inst.admit(RunningRequest::new(Request {
-                id: RequestId(i as u64),
-                model: ModelId(0),
-                arrival: SimTime::ZERO,
-                input_len: input,
-                output_len: 8,
-                class: SloClass::default(),
-                session: Default::default(),
-            }));
-            let next = inst.kv_required_bytes(avg, lmin);
-            prop_assert!(next >= last, "Eq.2 must grow with admissions");
-            last = next;
-        }
+        prop_assert_eq!(moved.phase, ReqPhase::Waiting);
     }
 }

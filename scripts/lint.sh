@@ -12,11 +12,6 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# detlint's D006 registry ⟷ goldens cross-check shells out to
-# `bench list --json`, so bench must be built first.
-echo "==> build bench + detlint"
-cargo build --release -p bench -p detlint
-
 echo "==> detlint check"
 cargo run --release -p detlint -- check
 
