@@ -21,9 +21,9 @@ use simcore::time::{SimDuration, SimTime};
 use workload::request::Trace;
 
 use crate::metrics::RunMetrics;
-use crate::node::ClusterSpec;
+use crate::node::{ClusterSpec, NodeId};
 use crate::policy::Policy;
-use crate::world::{ClusterEvent, Event, World, WorldConfig};
+use crate::world::{ClusterEvent, Event, NodeHealth, World, WorldConfig};
 
 /// Extra simulated time allowed after the last arrival before the run is
 /// force-terminated and unresolved requests are dropped.
@@ -93,6 +93,7 @@ impl<P: Policy> Simulation<P> {
             if rec.completed.is_none() && !rec.dropped {
                 rec.dropped = true;
                 self.world.metrics.dropped += 1;
+                self.world.metrics.hard_stop_drops += 1;
             }
         }
         std::mem::take(&mut self.world.metrics)
@@ -109,9 +110,9 @@ impl<P: Policy> Simulation<P> {
             Event::IterationDone { inst, kind } => {
                 // The instance may have been destroyed by a NodeFail while
                 // this iteration was in flight; its work is simply lost.
-                if w.instance(inst).is_none() {
+                let Some(node) = w.instance_placement(inst) else {
                     return;
-                }
+                };
                 let now = w.now();
                 match kind {
                     IterationKind::Prefill(req) => {
@@ -153,8 +154,8 @@ impl<P: Policy> Simulation<P> {
                     }
                 }
                 w.schedule_keepalive(inst);
-                w.release_slot(inst);
-                self.sweep_draining(inst);
+                w.wake_group(inst);
+                self.sweep_draining(Some(node));
             }
             Event::LoadDone {
                 inst,
@@ -167,9 +168,10 @@ impl<P: Policy> Simulation<P> {
                 let Some(elapsed) = w.resolve_load_done(inst, elapsed, epoch) else {
                     return;
                 };
+                let node = w.instance_placement(inst);
                 w.apply_load_done(inst, elapsed);
                 self.policy.on_load_done(w, inst);
-                self.sweep_draining(inst);
+                self.sweep_draining(node);
             }
             Event::ScaleDone {
                 inst,
@@ -177,9 +179,10 @@ impl<P: Policy> Simulation<P> {
                 to_bytes,
                 elapsed,
             } => {
+                let node = w.instance_placement(inst);
                 w.apply_scale_done(inst, from_bytes, to_bytes, elapsed);
                 self.policy.on_scale_done(w, inst);
-                self.sweep_draining(inst);
+                self.sweep_draining(node);
             }
             Event::Cluster(ev) => {
                 let displaced = w.apply_cluster_event(&ev);
@@ -214,16 +217,14 @@ impl<P: Policy> Simulation<P> {
         }
     }
 
-    /// If `inst` sits on a draining node and just went idle, unload it and
-    /// hand its requests back to the policy — the deferred half of a
-    /// [`ClusterEvent::NodeDrain`].
-    fn sweep_draining(&mut self, inst: engine::instance::InstanceId) {
-        let Some(node) = self.world.instance_placement(inst) else {
+    /// If `node` is draining, unload its idle instances and hand their
+    /// requests back to the policy — the deferred half of a
+    /// [`ClusterEvent::NodeDrain`]. `node` hosted the instance whose event
+    /// was just handled, captured before the callbacks could unload it.
+    fn sweep_draining(&mut self, node: Option<NodeId>) {
+        let Some(node) = node.filter(|&n| self.world.node_health(n) == NodeHealth::Draining) else {
             return;
         };
-        if self.world.node_health(node) != crate::world::NodeHealth::Draining {
-            return;
-        }
         let displaced = self.world.drain_idle_instances(node);
         if !displaced.is_empty() {
             self.policy
@@ -254,7 +255,6 @@ impl<P: Policy> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeId;
     use engine::instance::InstanceId;
     use hwmodel::NoiseModel;
     use simcore::time::SimDuration;
@@ -299,6 +299,22 @@ mod tests {
         }
     }
 
+    /// Admits like [`Greedy`] but never starts an iteration, so every
+    /// request is still live when the run reaches its hard stop.
+    struct Stalled(Greedy);
+
+    impl Policy for Stalled {
+        fn name(&self) -> &str {
+            "stalled-test"
+        }
+
+        fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
+            self.0.on_arrival(w, rr);
+        }
+
+        fn on_slot_free(&mut self, _w: &mut World, _node: NodeId, _slot: usize) {}
+    }
+
     fn small_trace(n: u64) -> Trace {
         let reqs = (0..n)
             .map(|i| Request {
@@ -340,10 +356,32 @@ mod tests {
             m.records.iter().filter(|r| r.completed.is_some()).count(),
             10
         );
-        assert_eq!(m.dropped, 0);
+        assert_eq!((m.dropped, m.hard_stop_drops), (0, 0));
         // Every request produced its 5 tokens.
         assert_eq!(m.gpu_decode_tokens, 50);
         assert_eq!(m.cold_starts, 1);
+    }
+
+    #[test]
+    fn the_hard_stop_drops_and_counts_what_is_still_live() {
+        let trace = small_trace(3);
+        let cluster = ClusterSpec::heterogeneous(0, 1);
+        let cfg = WorldConfig {
+            noise: NoiseModel::off(),
+            ..WorldConfig::default()
+        };
+        let period = cfg.sample_period;
+        let stalled = Stalled(Greedy {
+            inst: None,
+            grant: 8 * 1_000_000_000,
+        });
+        let m = Simulation::new(&cluster, vec![ModelSpec::llama2_7b()], cfg, stalled).run(&trace);
+        // The run went on until the hard stop (last arrival + grace) ...
+        let hard_stop = SimTime::from_secs(2) + DRAIN_GRACE;
+        assert!(m.end_time <= hard_stop && m.end_time + period > hard_stop);
+        // ... which dropped all three requests, and said so.
+        assert!(m.records.iter().all(|r| r.dropped && r.completed.is_none()));
+        assert_eq!((m.dropped, m.hard_stop_drops), (3, 3));
     }
 
     #[test]

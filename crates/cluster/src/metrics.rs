@@ -184,6 +184,10 @@ pub struct RunMetrics {
     pub migrations: u64,
     /// Requests dropped from admission queues.
     pub dropped: u64,
+    /// Requests still live when the run hit its hard stop (last arrival +
+    /// the driver's drain grace). The driver drops them there, so they are
+    /// counted in [`Self::dropped`] too; a healthy run leaves none.
+    pub hard_stop_drops: u64,
     /// Shadow validations performed (accepted + rejected), policy-reported.
     pub shadow_validations: u64,
     /// Node drains that started (scenario environment axis).

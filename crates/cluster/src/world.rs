@@ -219,8 +219,6 @@ pub(crate) enum Event {
 struct NodeState {
     hw: HardwareSpec,
     slot_shares: Vec<f64>,
-    /// Per slot: when its in-flight iteration ends (`None` while idle).
-    iteration_end: Vec<Option<SimTime>>,
     committed: u64,
     health: NodeHealth,
     /// Tiered checkpoint cache (DRAM/SSD LRU state machine).
@@ -234,7 +232,6 @@ impl NodeState {
         NodeState {
             hw: spec.hw.clone(),
             slot_shares: spec.slot_shares.clone(),
-            iteration_end: vec![None; spec.slot_shares.len()],
             committed: 0,
             health: NodeHealth::Up,
             store: CheckpointStore::new(),
@@ -253,6 +250,9 @@ pub struct Hosted {
     /// plain instances; `tp` entries for tensor-parallel placements, all
     /// on [`Hosted::node`]. Iterations occupy every slot of the group.
     pub slots: Vec<usize>,
+    /// When the in-flight iteration ends. Meaningful only while
+    /// `inst.busy` is set, the one record that an iteration runs.
+    iteration_end: SimTime,
     /// The checkpoint tier this instance's cold start loaded from.
     pub load_tier: CheckpointTier,
     /// For a peer fabric fetch: the *source* node whose loading channel
@@ -541,15 +541,25 @@ impl World {
         self.nodes[node.0 as usize].slot_shares[slot]
     }
 
+    /// The instance running an iteration on the slot, if any. At most one
+    /// instance indexed on a slot is busy at a time.
+    fn slot_runner(&self, node: NodeId, slot: usize) -> Option<&Hosted> {
+        self.index.by_slot[node.0 as usize][slot]
+            .iter()
+            .map(|id| &self.instances[id])
+            .find(|h| h.inst.busy)
+    }
+
     /// True while an iteration runs on the slot.
     pub fn slot_busy(&self, node: NodeId, slot: usize) -> bool {
-        self.nodes[node.0 as usize].iteration_end[slot].is_some()
+        self.slot_runner(node, slot).is_some()
     }
 
     /// When the slot frees: the end of its in-flight iteration, or now if
     /// it is idle (shadow validation replays a node's future from here).
     pub fn slot_free_at(&self, node: NodeId, slot: usize) -> SimTime {
-        self.nodes[node.0 as usize].iteration_end[slot].unwrap_or(self.clock)
+        self.slot_runner(node, slot)
+            .map_or(self.clock, |h| h.iteration_end)
     }
 
     /// The model registry entry for `model`.
@@ -603,9 +613,7 @@ impl World {
     /// poke — another slot of the group may still be occupied.
     pub fn instance_group_busy(&self, id: InstanceId) -> bool {
         let h = &self.instances[&id];
-        h.slots
-            .iter()
-            .any(|&s| self.nodes[h.node.0 as usize].iteration_end[s].is_some())
+        h.slots.iter().any(|&s| self.slot_busy(h.node, s))
     }
 
     /// Picks a `k`-slot group on `node` for a new instance, or `None` if
@@ -1035,6 +1043,7 @@ impl World {
                 inst,
                 node,
                 slots,
+                iteration_end: self.clock,
                 load_tier: tier,
                 load_channel: None,
                 fabric: plan.is_some(),
@@ -1151,12 +1160,8 @@ impl World {
     pub fn admit(&mut self, inst: InstanceId, rr: RunningRequest) {
         // detlint::allow(D005, "documented # Panics contract: callers admit only to instances they just placed or looked up")
         let h = self.instances.get_mut(&inst).expect("unknown instance");
-        let node = h.node;
-        let group = h.slots.clone();
         h.inst.admit(rr);
-        for s in group {
-            self.wake.push((node, s));
-        }
+        self.wake_group(inst);
     }
 
     /// Admits a request that finished prefill elsewhere (PD disaggregation,
@@ -1174,16 +1179,11 @@ impl World {
             // live usage past an in-flight shrink target.
             return false;
         }
-        let node = h.node;
-        let group = h.slots.clone();
-        if h.inst.admit_decoding(rr) {
-            for s in group {
-                self.wake.push((node, s));
-            }
-            true
-        } else {
-            false
+        let admitted = h.inst.admit_decoding(rr);
+        if admitted {
+            self.wake_group(inst);
         }
+        admitted
     }
 
     /// Starts an iteration on an instance, occupying its whole slot group.
@@ -1266,10 +1266,7 @@ impl World {
         };
         let dur = SimDuration::from_secs_f64(self.cfg.noise.apply(base, &mut self.rng));
         let end = self.clock + dur;
-        let group = self.instances[&inst].slots.clone();
-        for &s in &group {
-            self.nodes[node.0 as usize].iteration_end[s] = Some(end);
-        }
+        h.iteration_end = end;
         self.events.push(end, Event::IterationDone { inst, kind });
         Ok(dur)
     }
@@ -1338,6 +1335,8 @@ impl World {
     /// Panics if the instance still has live requests, is mid-iteration, or
     /// is mid-rescale.
     pub fn unload_instance(&mut self, inst: InstanceId) {
+        // Co-tenants of its slots may run once it is gone.
+        self.wake_group(inst);
         // detlint::allow(D005, "documented # Panics contract: unloads name instances the policy holds")
         let h = self.instances.remove(&inst).expect("unknown instance");
         assert!(h.inst.is_idle(), "unloading a non-idle instance");
@@ -1368,9 +1367,6 @@ impl World {
                     self.session_home.remove(&sid);
                 }
             }
-        }
-        for &s in &h.slots {
-            self.wake.push((h.node, s));
         }
     }
 
@@ -1510,7 +1506,6 @@ impl World {
                 rerouted.retain(|(id, ..)| self.instances.get(id).is_some_and(|h| h.node != *node));
                 let n = &mut self.nodes[node.0 as usize];
                 n.committed = 0;
-                n.iteration_end.fill(None);
                 // The checkpoint cache dies with the host too (DRAM is gone
                 // and the disk never rejoins the fleet).
                 n.store.clear();
@@ -1586,14 +1581,11 @@ impl World {
     // Driver support
     // ------------------------------------------------------------------
 
-    pub(crate) fn release_slot(&mut self, inst: InstanceId) {
+    /// Queues a slot-free poke for every slot of `inst`'s group, in slot
+    /// order (nothing if the instance is gone).
+    pub(crate) fn wake_group(&mut self, inst: InstanceId) {
         if let Some(h) = self.instances.get(&inst) {
-            let node = h.node;
-            let group = h.slots.clone();
-            for &s in &group {
-                self.nodes[node.0 as usize].iteration_end[s] = None;
-                self.wake.push((node, s));
-            }
+            self.wake.extend(h.slots.iter().map(|&s| (h.node, s)));
         }
     }
 
@@ -1620,7 +1612,6 @@ impl World {
         let ok = h.inst.apply_kv_resize(final_to);
         debug_assert!(ok, "resize below live set slipped through");
         let node = h.node;
-        let group = h.slots.clone();
         if final_to < from_bytes {
             let delta = from_bytes - final_to;
             let n = &mut self.nodes[node.0 as usize];
@@ -1628,9 +1619,7 @@ impl World {
         }
         self.metrics.scale_ops += 1;
         self.metrics.scale_blocked_s += elapsed.as_secs_f64();
-        for s in group {
-            self.wake.push((node, s));
-        }
+        self.wake_group(inst);
     }
 
     pub(crate) fn apply_load_done(&mut self, inst: InstanceId, elapsed: SimDuration) {
@@ -1658,9 +1647,7 @@ impl World {
                 rec.cold_start = true;
             }
         }
-        for &s in &h.slots {
-            self.wake.push((h.node, s));
-        }
+        self.wake_group(inst);
     }
 
     /// Samples occupancy and per-instance gauges.

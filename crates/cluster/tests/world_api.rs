@@ -405,7 +405,7 @@ fn slot_free_at_is_the_iteration_end_until_release_or_node_failure() {
         })
         .collect();
     assert_eq!(ends.len(), 3);
-    // Once an iteration's slots are released, they are free now.
+    // Once an iteration has ended, its slots are free now.
     let idle: Vec<SimTime> = log
         .iter()
         .filter_map(|e| match *e {
@@ -423,6 +423,115 @@ fn slot_free_at_is_the_iteration_end_until_release_or_node_failure() {
     };
     assert!(now < ends[2]);
     assert_eq!(free, [now; 3]);
+}
+
+/// What the preempting probe saw.
+#[derive(Debug, Default)]
+struct PreemptLog {
+    /// `(now, instance)` for each unload in `on_request_done`.
+    unloads: Vec<(SimTime, InstanceId)>,
+    /// `(now, slot_free_at)` for each slot-free poke on slot 0.
+    pokes: Vec<(SimTime, SimTime)>,
+}
+
+/// Two single-slot tenants (one per model) share slot 0 of one GPU, and
+/// the lower instance id always runs first. When a request finishes and
+/// leaves its instance idle, `on_request_done` unloads that instance, as
+/// SLINFER's preemption does with an idle co-tenant: here it is the
+/// instance whose iteration just ended.
+struct PreemptFinisher {
+    log: Rc<RefCell<PreemptLog>>,
+    tenants: [Option<InstanceId>; 2],
+}
+
+impl Policy for PreemptFinisher {
+    fn name(&self) -> &str {
+        "preempt-the-finisher probe"
+    }
+
+    fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
+        let m = rr.req.model.0 as usize;
+        let inst = match self.tenants[m] {
+            Some(i) if w.instance(i).is_some() => i,
+            _ => {
+                let i = w
+                    .create_instance(rr.req.model, NodeId(0), 0, 4 * GB)
+                    .expect("both tenants fit");
+                self.tenants[m] = Some(i);
+                i
+            }
+        };
+        w.admit(inst, rr);
+    }
+
+    fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
+        let now = w.now();
+        self.log
+            .borrow_mut()
+            .pokes
+            .push((now, w.slot_free_at(node, slot)));
+        let slo = w.slo();
+        let next = w.slot_instances(node, slot).iter().find_map(|&inst| {
+            let i = w.instance(inst).filter(|i| i.has_work())?;
+            Some((inst, i.most_urgent(now, &slo)?.1))
+        });
+        if let Some((inst, kind)) = next {
+            w.start_iteration(inst, kind).expect("the slot is free");
+        }
+    }
+
+    fn on_request_done(&mut self, w: &mut World, inst: InstanceId, _rr: &RunningRequest) {
+        if w.instance(inst).is_some_and(|i| i.is_idle()) {
+            w.unload_instance(inst);
+            self.log.borrow_mut().unloads.push((w.now(), inst));
+        }
+    }
+}
+
+#[test]
+fn unloading_the_instance_whose_iteration_just_ended_frees_its_slot() {
+    let log = Rc::new(RefCell::new(PreemptLog::default()));
+    // Request 0 goes to the first tenant; 1..=3 to the second, which waits
+    // until the first has finished.
+    let reqs = (0..4u64)
+        .map(|i| Request {
+            arrival: SimTime::from_millis(10 * i),
+            ..rr(i, u32::from(i > 0)).req
+        })
+        .collect();
+    let trace = Trace::new(reqs, 2, SimDuration::from_secs(1));
+    let cfg = WorldConfig {
+        noise: NoiseModel::off(),
+        ..WorldConfig::default()
+    };
+    let probe = PreemptFinisher {
+        log: Rc::clone(&log),
+        tenants: [None; 2],
+    };
+    let m = Simulation::new(
+        &ClusterSpec::heterogeneous(0, 1),
+        vec![ModelSpec::llama2_7b(), ModelSpec::llama2_7b().replica(1)],
+        cfg,
+        probe,
+    )
+    .run(&trace);
+
+    let log = log.borrow();
+    let &(unloaded_at, first) = log.unloads.first().expect("the first tenant finished");
+    assert_eq!(first, InstanceId(1), "the first tenant is unloaded first");
+    // Once the event is handled the slot is free: the driver pokes it at
+    // once, and it is free now.
+    assert!(
+        log.pokes.contains(&(unloaded_at, unloaded_at)),
+        "slot 0 stayed busy after its runner was unloaded at {unloaded_at:?}: {log:?}"
+    );
+    // The surviving tenant runs, and nothing waits for the hard stop.
+    assert!(
+        m.records.iter().all(|r| r.completed.is_some()),
+        "{:?}",
+        m.records
+    );
+    assert_eq!((m.dropped, m.hard_stop_drops), (0, 0));
 }
 
 #[test]

@@ -98,7 +98,9 @@ pub struct Instance {
     session_kv: BTreeMap<u64, SessionEntry>,
     /// Monotonic stamp source for deterministic session LRU.
     session_seq: u64,
-    /// True while an iteration executes.
+    /// True while an iteration executes. This is the one record of a
+    /// running iteration: the cluster layer derives whether a slot is
+    /// busy from the flags of the instances on it.
     pub busy: bool,
     /// True while a KV rescale executes (iterations are blocked, §VII-B).
     pub scaling: bool,
