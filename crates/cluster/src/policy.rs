@@ -94,7 +94,7 @@ pub trait Policy {
     /// The default re-offers every displaced request through
     /// [`Policy::on_arrival`], which gives baselines a sane
     /// evict-and-requeue behavior without policy-specific state; policies
-    /// with internal placement state (parked scale-ops, per-node budgets)
+    /// with internal placement state (parked scale-ops, reservation stations)
     /// should override this, clean up, and then re-place.
     fn on_node_event(&mut self, w: &mut World, _ev: &ClusterEvent, displaced: Vec<RunningRequest>) {
         for rr in displaced {

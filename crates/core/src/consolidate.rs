@@ -29,6 +29,7 @@ pub fn order_candidates(
         .model_instances(model)
         .iter()
         .map(|&id| {
+            // detlint::allow(D005, "model_instances lists only hosted instances, and each has a placement")
             let node = w.instance_placement(id).expect("listed instance");
             let is_cpu = w.node_hw(node).kind.is_cpu();
             let batch = w.instance(id).map(|i| i.live_count() as i64).unwrap_or(0);

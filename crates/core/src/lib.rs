@@ -16,7 +16,9 @@
 //! - [`memory`] — the **hazard-aware memory subsystem** (§VII): Eq. 2 demand
 //!   estimation, watermark-based early-scale-up / lazy-scale-down, and the
 //!   optimistic-budget + pessimistic-execution orchestrator with a
-//!   reservation station that serializes risky scale-ups (Fig. 19).
+//!   reservation station that serializes risky scale-ups (Fig. 19). The
+//!   optimistic budget is derived, not stored: the scheduler computes it
+//!   from the grant each instance on the node is heading to.
 //! - [`consolidate`] — the **efficiency-oriented consolidator** (§VIII):
 //!   proactive preemption of smaller-batch neighbours and reactive
 //!   bin-packing of new requests onto the largest-batch instance.

@@ -10,17 +10,23 @@
 //!   early scale-up to `M_require · (1 + w)` and lazy scale-down only when
 //!   `M_recommend · (1 + w) < M_cur`, damping the ping-pong effect of load
 //!   fluctuation (§VII-B).
-//! - **[`MemoryPlanner`]** — the optimistic budget of §VII-C. Scale-downs
-//!   release budget at *approval* time (so waiting requests can be admitted
-//!   against memory that is about to free up), while the physical ledger in
-//!   [`cluster::World`] releases only at *completion*. Scale-ups that are
-//!   approved but do not yet fit physically are parked in a per-node
-//!   **reservation station** and re-attempted whenever a scale-down
-//!   completes — the paper's Fig. 19 flow.
+//! - **[`MemoryPlanner`]** — the optimistic/pessimistic orchestrator of
+//!   §VII-C. A scale-up is approved against an optimistic *budget*: the
+//!   node's memory minus, for each instance on it, its weights plus the
+//!   grant it is heading to. The budget is derived from those planned
+//!   grants whenever it is needed, never stored, so it cannot drift from
+//!   the node. A scale-down frees budget at *approval* time (so waiting
+//!   requests can be admitted against memory that is about to free up),
+//!   while the physical ledger in [`cluster::World`] releases only at
+//!   *completion*. Scale-ups that are approved but do not yet fit
+//!   physically are parked in a per-node **reservation station** and
+//!   re-attempted whenever a scale-down completes — the paper's Fig. 19
+//!   flow.
+
+use std::collections::BTreeMap;
 
 use engine::instance::InstanceId;
 use engine::request::RunningRequest;
-use serde::{Deserialize, Serialize};
 
 use cluster::NodeId;
 
@@ -57,7 +63,7 @@ pub fn should_scale_down(current_bytes: u64, recommend_bytes: u64, watermark: f6
 }
 
 /// What the planner decided about a requested scale operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
     /// Budget approved and physically safe: issue to the engine now.
     Execute,
@@ -70,119 +76,54 @@ pub enum ScaleDecision {
 }
 
 /// A parked scale-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingScale {
     /// Instance to rescale.
     pub inst: InstanceId,
-    /// Target grant.
-    pub to_bytes: u64,
-    /// Budget delta this op holds (released if cancelled).
+    /// Bytes the op adds to the grant it was planned from.
     pub delta: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct NodeBudget {
-    capacity: u64,
-    optimistic: u64,
-    reservations: Vec<PendingScale>,
-}
-
-/// Per-node optimistic budgets plus reservation stations.
+/// Per-node reservation stations (Fig. 19). The optimistic budget the
+/// planner approves against is an argument, never a field: the caller
+/// derives it from the instances on the node.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryPlanner {
-    nodes: Vec<NodeBudget>,
+    stations: BTreeMap<NodeId, Vec<PendingScale>>,
 }
 
 impl MemoryPlanner {
-    /// Creates a planner for nodes with the given byte capacities.
-    pub fn new(capacities: impl IntoIterator<Item = u64>) -> Self {
-        MemoryPlanner {
-            nodes: capacities
-                .into_iter()
-                .map(|capacity| NodeBudget {
-                    capacity,
-                    ..Default::default()
-                })
-                .collect(),
-        }
-    }
-
-    fn node(&self, n: NodeId) -> &NodeBudget {
-        &self.nodes[n.0 as usize]
-    }
-
-    fn node_mut(&mut self, n: NodeId) -> &mut NodeBudget {
-        &mut self.nodes[n.0 as usize]
-    }
-
-    /// Bytes still available under optimistic accounting.
-    pub fn optimistic_available(&self, n: NodeId) -> u64 {
-        let b = self.node(n);
-        b.capacity.saturating_sub(b.optimistic)
-    }
-
-    /// True if `bytes` fit the optimistic budget.
-    pub fn fits(&self, n: NodeId, bytes: u64) -> bool {
-        bytes <= self.optimistic_available(n)
-    }
-
-    /// Commits bytes (instance creation, approved scale-up delta).
-    ///
-    /// # Panics
-    /// Panics in debug builds if the commit overflows the capacity — callers
-    /// must check [`Self::fits`] first.
-    pub fn commit(&mut self, n: NodeId, bytes: u64) {
-        let b = self.node_mut(n);
-        b.optimistic += bytes;
-        debug_assert!(
-            b.optimistic <= b.capacity,
-            "optimistic budget overflow on node {}",
-            n.0
-        );
-    }
-
-    /// Releases bytes (unload, approved scale-down delta).
-    pub fn release(&mut self, n: NodeId, bytes: u64) {
-        let b = self.node_mut(n);
-        b.optimistic = b.optimistic.saturating_sub(bytes);
-    }
-
     /// Plans a scale of `inst` on node `n` from `from_bytes` to `to_bytes`,
-    /// given the *physical* bytes currently free on the node.
+    /// given the node's optimistic `budget` and the *physical* bytes
+    /// currently free on it.
     ///
-    /// Scale-downs always execute (and release budget immediately — the
-    /// optimistic half). Scale-ups are approved against the budget, then
-    /// executed or reserved depending on physical room (the pessimistic
-    /// half).
+    /// Scale-downs always execute. Scale-ups are approved against the
+    /// budget (the optimistic half), then executed or reserved depending
+    /// on physical room (the pessimistic half).
     pub fn plan_scale(
         &mut self,
         n: NodeId,
         inst: InstanceId,
         from_bytes: u64,
         to_bytes: u64,
+        budget: u64,
         physical_available: u64,
     ) -> ScaleDecision {
         if to_bytes <= from_bytes {
-            let delta = from_bytes - to_bytes;
-            self.release(n, delta);
             return ScaleDecision::Execute;
         }
         let delta = to_bytes - from_bytes;
-        if !self.fits(n, delta) {
+        if delta > budget {
             return ScaleDecision::Reject;
         }
-        self.commit(n, delta);
         // FIFO: a scale-up never jumps ahead of parked reservations — the
         // physical bytes freed by completing scale-downs belong to the
         // station's head first (Fig. 19).
-        if delta <= physical_available && self.node(n).reservations.is_empty() {
+        let station = self.stations.entry(n).or_default();
+        if delta <= physical_available && station.is_empty() {
             ScaleDecision::Execute
         } else {
-            self.node_mut(n).reservations.push(PendingScale {
-                inst,
-                to_bytes,
-                delta,
-            });
+            station.push(PendingScale { inst, delta });
             ScaleDecision::Reserve
         }
     }
@@ -196,12 +137,14 @@ impl MemoryPlanner {
         n: NodeId,
         mut physical_available: u64,
     ) -> Vec<PendingScale> {
-        let b = self.node_mut(n);
+        let Some(station) = self.stations.get_mut(&n) else {
+            return Vec::new();
+        };
         let mut out = Vec::new();
-        while let Some(head) = b.reservations.first().copied() {
+        while let Some(head) = station.first().copied() {
             if head.delta <= physical_available {
                 physical_available -= head.delta;
-                b.reservations.remove(0);
+                station.remove(0);
                 out.push(head);
             } else {
                 break;
@@ -210,53 +153,29 @@ impl MemoryPlanner {
         out
     }
 
-    /// Cancels any reservation held by `inst`, refunding its budget delta.
+    /// Cancels any reservation held by `inst`.
     pub fn cancel_reservations(&mut self, n: NodeId, inst: InstanceId) {
-        let b = self.node_mut(n);
-        let mut refunded = 0u64;
-        b.reservations.retain(|p| {
-            if p.inst == inst {
-                refunded += p.delta;
-                false
-            } else {
-                true
-            }
-        });
-        b.optimistic = b.optimistic.saturating_sub(refunded);
+        if let Some(station) = self.stations.get_mut(&n) {
+            station.retain(|p| p.inst != inst);
+        }
     }
 
     /// Reservations currently parked on a node.
     pub fn reservation_count(&self, n: NodeId) -> usize {
-        self.node(n).reservations.len()
+        self.stations.get(&n).map_or(0, Vec::len)
     }
 
     /// Whether `inst` has a parked reservation on node `n`.
     pub fn has_reservation(&self, n: NodeId, inst: InstanceId) -> bool {
-        self.node(n).reservations.iter().any(|p| p.inst == inst)
+        self.stations
+            .get(&n)
+            .is_some_and(|s| s.iter().any(|p| p.inst == inst))
     }
 
-    /// Grows the budget table to cover nodes that joined after
-    /// construction; `capacities` is the full per-node capacity list (the
-    /// existing prefix is left untouched).
-    pub fn ensure_nodes(&mut self, capacities: impl IntoIterator<Item = u64>) {
-        for (i, capacity) in capacities.into_iter().enumerate() {
-            if i >= self.nodes.len() {
-                self.nodes.push(NodeBudget {
-                    capacity,
-                    ..Default::default()
-                });
-            }
-        }
-    }
-
-    /// Marks a node unusable (drain or failure): its budget capacity and
-    /// optimistic commitments drop to zero and every parked reservation is
-    /// discarded, so no further growth is ever approved there. Idempotent.
+    /// Discards every reservation parked on a node that stopped taking
+    /// work (drain or failure). Idempotent.
     pub fn retire_node(&mut self, n: NodeId) {
-        let b = self.node_mut(n);
-        b.capacity = 0;
-        b.optimistic = 0;
-        b.reservations.clear();
+        self.stations.remove(&n);
     }
 }
 
@@ -320,81 +239,70 @@ mod tests {
         assert!(should_scale_down(101, 100, 0.0));
     }
 
-    #[test]
-    fn scale_down_frees_budget_immediately() {
-        let mut p = MemoryPlanner::new([10 * GB]);
-        let n = NodeId(0);
-        p.commit(n, 9 * GB);
-        // Scale an instance down 4 GB: optimistic frees instantly…
-        let d = p.plan_scale(n, InstanceId(1), 6 * GB, 2 * GB, GB);
-        assert_eq!(d, ScaleDecision::Execute);
-        assert_eq!(p.optimistic_available(n), 5 * GB);
-    }
-
     /// The Fig. 18 scenario: three instances at 30% each; A scales down 20%,
     /// B up 20%, C up 10%. Uncoordinated execution would spike to 120%;
     /// the planner approves B and C against the optimistic budget but parks
     /// them until A's release is physically visible.
     #[test]
     fn fig18_hazard_is_serialized() {
-        let cap = 100u64;
-        let mut p = MemoryPlanner::new([cap]);
+        // The budget the scheduler derives: capacity minus each instance's
+        // planned grant.
+        let budget = |planned: [u64; 3]| 100 - planned.iter().sum::<u64>();
+        let mut p = MemoryPlanner::default();
         let n = NodeId(0);
-        for _ in 0..3 {
-            p.commit(n, 30);
-        }
-        let physical_free = 10; // 100 - 3×30
-                                // A: down 30 → 10 (release 20 optimistically).
+        let (a, b, c) = (InstanceId(1), InstanceId(2), InstanceId(3));
+        // 100 - 3×30 bytes are physically free.
+        let free = 10;
+        // A: down 30 → 10, freeing 20 of budget at approval.
         assert_eq!(
-            p.plan_scale(n, InstanceId(1), 30, 10, physical_free),
+            p.plan_scale(n, a, 30, 10, budget([30, 30, 30]), free),
             ScaleDecision::Execute
         );
-        assert_eq!(p.optimistic_available(n), 30);
+        assert_eq!(budget([10, 30, 30]), 30);
         // B: up 30 → 50. Budget fits (delta 20 ≤ 30) but physically only 10
         // free until A completes → reserved.
         assert_eq!(
-            p.plan_scale(n, InstanceId(2), 30, 50, physical_free),
+            p.plan_scale(n, b, 30, 50, budget([10, 30, 30]), free),
             ScaleDecision::Reserve
         );
         // C: up 30 → 40. Budget fits (delta 10 ≤ 10) and 10 bytes are
         // physically free — but B holds the station's head (FIFO), so C
         // queues behind it.
         assert_eq!(
-            p.plan_scale(n, InstanceId(3), 30, 40, physical_free),
+            p.plan_scale(n, c, 30, 40, budget([10, 50, 30]), free),
             ScaleDecision::Reserve
         );
-        assert_eq!(p.optimistic_available(n), 0);
+        assert_eq!(budget([10, 50, 40]), 0);
         assert_eq!(p.reservation_count(n), 2);
         // A's scale-down completes: physical free becomes 10 + 20 = 30.
         let runnable = p.release_reservations(n, 30);
         assert_eq!(runnable.len(), 2, "both parked ops now run");
-        assert_eq!(runnable[0].inst, InstanceId(2));
-        assert_eq!(runnable[1].inst, InstanceId(3));
+        assert_eq!(runnable[0].inst, b);
+        assert_eq!(runnable[1].inst, c);
         assert_eq!(p.reservation_count(n), 0);
     }
 
     #[test]
     fn budget_exhaustion_rejects() {
-        let mut p = MemoryPlanner::new([10 * GB]);
+        let mut p = MemoryPlanner::default();
         let n = NodeId(0);
-        p.commit(n, 8 * GB);
-        let d = p.plan_scale(n, InstanceId(1), GB, 5 * GB, 2 * GB);
+        let d = p.plan_scale(n, InstanceId(1), GB, 5 * GB, 2 * GB, 2 * GB);
         assert_eq!(d, ScaleDecision::Reject);
-        // Rejection must not leak budget.
-        assert_eq!(p.optimistic_available(n), 2 * GB);
+        // A rejected op is not parked.
+        assert!(!p.has_reservation(n, InstanceId(1)));
+        assert_eq!(p.reservation_count(n), 0);
     }
 
     #[test]
     fn reservation_fifo_blocks_behind_head() {
-        let mut p = MemoryPlanner::new([100]);
+        let mut p = MemoryPlanner::default();
         let n = NodeId(0);
-        p.commit(n, 40);
         assert_eq!(
-            p.plan_scale(n, InstanceId(1), 10, 40, 0),
+            p.plan_scale(n, InstanceId(1), 10, 40, 60, 0),
             ScaleDecision::Reserve
         );
         assert_eq!(
-            p.plan_scale(n, InstanceId(2), 10, 15, 0),
+            p.plan_scale(n, InstanceId(2), 10, 15, 30, 0),
             ScaleDecision::Reserve
         );
         // 10 bytes free: head needs 30 → nothing pops, even though the
@@ -405,18 +313,17 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_refunds_budget() {
-        let mut p = MemoryPlanner::new([100]);
+    fn cancellation_drops_the_reservation() {
+        let mut p = MemoryPlanner::default();
         let n = NodeId(0);
-        p.commit(n, 50);
         assert_eq!(
-            p.plan_scale(n, InstanceId(7), 10, 40, 0),
+            p.plan_scale(n, InstanceId(7), 10, 40, 50, 0),
             ScaleDecision::Reserve
         );
-        assert_eq!(p.optimistic_available(n), 20);
         assert!(p.has_reservation(n, InstanceId(7)));
         p.cancel_reservations(n, InstanceId(7));
         assert!(!p.has_reservation(n, InstanceId(7)));
-        assert_eq!(p.optimistic_available(n), 50);
+        // Nothing is left to pop, however much memory frees up.
+        assert!(p.release_reservations(n, u64::MAX).is_empty());
     }
 }

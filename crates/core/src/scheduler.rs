@@ -17,7 +17,7 @@ use cluster::world::StartError;
 use cluster::{
     evict_most_headroom, Backlog, ClusterEvent, Handoffs, MemError, NodeId, Policy, World,
 };
-use engine::instance::{InstanceId, InstanceState, IterationKind};
+use engine::instance::{Instance, InstanceId, InstanceState, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
 use hwmodel::HardwareSpec;
 use simcore::time::{SimDuration, SimTime};
@@ -56,28 +56,32 @@ enum Offer {
 /// The SLINFER serving policy.
 ///
 /// Every collection of policy state is ordered (`BTreeMap`/`BTreeSet`, or
-/// a `Vec` in arrival order) — never a hash map. PR 2 caught scale-op
-/// issue order leaking `HashMap` hash randomness into results, making the
-/// same binary diverge across processes; the node-event sweeps over
-/// `wanted_scale`/`issued_scale` and any future iteration over the maps
-/// below would be the same bug class, so the whole struct is audited to
-/// ordered containers and `tests/determinism.rs` pins a cross-process
-/// fingerprint for the node-event path.
+/// a `Vec` in arrival order) — never a hash map. Scale-op issue order once
+/// leaked `HashMap` hash randomness into results, making the same binary
+/// diverge across processes; the node-event sweep over `planned` and any
+/// future iteration over the maps below would be the same bug class, so
+/// the whole struct is audited to ordered containers and
+/// `tests/determinism.rs` pins a cross-process fingerprint for the
+/// node-event path.
 pub struct Slinfer {
     cfg: SlinferConfig,
     quant: QuantifierSet,
-    planner: Option<MemoryPlanner>,
+    /// Reservation stations for approved scale-ups that do not fit yet.
+    planner: MemoryPlanner,
+    /// Whether the liveness sweep's timer is running.
+    sweeping: bool,
     /// Per-model historical output lengths: (sum, count).
     avg_out: BTreeMap<u32, (f64, u64)>,
     /// Requests awaiting placement, with their drop timers.
     backlog: Backlog,
-    /// Approved scale ops waiting for their instance to be free. Ordered:
+    /// The grant each instance is heading to: an approved rescale target,
+    /// whether it can execute now, is reserved or is in flight, kept until
+    /// the instance's grant equals it. Every node's optimistic budget is
+    /// derived from these ([`Self::budget`]). Ordered:
     /// [`Self::try_issue_wanted`] iterates this map, and issue order must
     /// not depend on hash randomness or replays stop being byte-identical
     /// across processes.
-    wanted_scale: BTreeMap<InstanceId, u64>,
-    /// Scale ops issued to the engine and still in flight (target grant).
-    issued_scale: BTreeMap<InstanceId, u64>,
+    planned: BTreeMap<InstanceId, u64>,
     /// Expected activation time of loading instances (for validation).
     expected_active: BTreeMap<InstanceId, SimTime>,
     /// PD mode: instances dedicated to prefill (§IX-G).
@@ -92,31 +96,28 @@ impl Slinfer {
     /// # Panics
     /// Panics if the configuration is invalid.
     pub fn new(cfg: SlinferConfig) -> Self {
+        // detlint::allow(D005, "documented # Panics contract: an invalid config is a caller bug, caught before any replay starts")
         cfg.validate().expect("invalid SLINFER config");
         Slinfer {
             cfg,
             quant: QuantifierSet::new(0x51F3),
-            planner: None,
+            planner: MemoryPlanner::default(),
+            sweeping: false,
             avg_out: BTreeMap::new(),
             backlog: Backlog::default(),
-            wanted_scale: BTreeMap::new(),
-            issued_scale: BTreeMap::new(),
+            planned: BTreeMap::new(),
             expected_active: BTreeMap::new(),
             prefill_insts: BTreeSet::new(),
             handoffs: Handoffs::default(),
         }
     }
 
+    /// Starts the liveness sweep on the first callback.
     fn ensure_init(&mut self, w: &mut World) {
-        if self.planner.is_none() {
-            let caps: Vec<u64> = w.node_ids().map(|n| w.node_hw(n).mem_bytes).collect();
-            self.planner = Some(MemoryPlanner::new(caps));
+        if !self.sweeping {
+            self.sweeping = true;
             w.set_timer(SWEEP_PERIOD, TAG_SWEEP);
         }
-    }
-
-    fn planner(&mut self) -> &mut MemoryPlanner {
-        self.planner.as_mut().expect("planner initialized")
     }
 
     fn avg_output(&self, model: ModelId) -> f64 {
@@ -205,6 +206,7 @@ impl Slinfer {
         };
         self.ensure_profile(w, node, model, share);
         let spec = w.model_spec(model);
+        // detlint::allow(D005, "ensure_profile just profiled this (spec, hardware, share) key")
         let q = self.quant.get(spec, &hw, share).expect("just profiled");
         let slo = w.slo_for(&rr.req);
         let over = self.cfg.overestimate;
@@ -265,9 +267,11 @@ impl Slinfer {
             Some(t) => ids
                 .iter()
                 .position(|&id| id == t)
+                // detlint::allow(D005, "`ids` lists every instance on the target's own slot group, the target included")
                 .expect("the target sits on its own slots"),
             None => {
                 let spec = w.model_spec(rr.req.model);
+                // detlint::allow(D005, "a new instance's (spec, hardware, share) key was profiled at the top of this call")
                 let quant = self.quant.get(spec, &hw, share).expect("profiled above");
                 views.push(InstView {
                     quant,
@@ -287,10 +291,12 @@ impl Slinfer {
     /// start have not received their grace yet, so they are anchored no
     /// earlier than the expected activation.
     fn co_tenant_view(&self, w: &World, id: InstanceId, hw: &HardwareSpec) -> InstView<'_> {
+        // detlint::allow(D005, "shadow_check passes only ids `colocated` just read from the slot index, which lists hosted instances")
         let inst = w.instance(id).expect("listed");
         let quant = self
             .quant
             .get(&inst.spec, hw, w.instance_share(id))
+            // detlint::allow(D005, "shadow_check profiled every co-tenant at its own share before building the views")
             .expect("profiled above");
         let pending_act = self.expected_active.get(&id).copied();
         let reqs = inst
@@ -320,50 +326,69 @@ impl Slinfer {
         }
     }
 
-    /// The grant an instance is heading towards: the max of its current
-    /// grant, any in-flight rescale target, and any approved-but-parked
-    /// target.
-    fn future_grant(&self, w: &World, inst: InstanceId) -> u64 {
-        let cur = w.instance(inst).map(|i| i.kv_capacity_bytes()).unwrap_or(0);
-        let issued = self.issued_scale.get(&inst).copied().unwrap_or(0);
-        let wanted = self.wanted_scale.get(&inst).copied().unwrap_or(0);
-        cur.max(issued).max(wanted)
+    /// The grant `i` is heading to: its planned target, else its current
+    /// grant.
+    fn future_grant(&self, i: &Instance) -> u64 {
+        self.planned
+            .get(&i.id)
+            .copied()
+            .unwrap_or_else(|| i.kv_capacity_bytes())
+    }
+
+    /// The optimistic budget of §VII-C on `node`: its memory minus, for
+    /// each instance on it, the weights plus the grant the instance is
+    /// heading to. It is derived from the planned grants on every call, so
+    /// it always agrees with what the node holds and plans. A node that
+    /// takes no new work has no budget.
+    fn budget(&self, w: &World, node: NodeId) -> u64 {
+        if !w.node_schedulable(node) {
+            return 0;
+        }
+        let held: u64 = w
+            .node_instances(node)
+            .iter()
+            .filter_map(|&id| w.instance(id))
+            .map(|i| i.spec.weights_bytes() + self.future_grant(i))
+            .sum();
+        w.node_hw(node).mem_bytes.saturating_sub(held)
     }
 
     /// Plans growth of `inst`'s grant to cover `require` bytes, trying the
     /// watermark-recommended size first and compromising at `require`
-    /// (§VII-D). Coalesces with in-flight ops: the delta is planned on top
+    /// (§VII-D). Coalesces with planned ops: the delta is planned on top
     /// of the instance's future grant. Returns true if the future grant
     /// already covers `require` or growth is approved (executed, pending,
     /// or reserved).
     fn plan_grow(&mut self, w: &mut World, inst: InstanceId, require: u64) -> bool {
-        let Some(node) = w.instance_placement(inst) else {
+        let (Some(node), Some(i)) = (w.instance_placement(inst), w.instance(inst)) else {
             return false;
         };
-        if self.planner().has_reservation(node, inst) {
-            // A reservation is already queued; it will cover or be followed.
-            return self.future_grant(w, inst) >= require;
-        }
-        let future = self.future_grant(w, inst);
+        let future = self.future_grant(i);
         if future >= require {
             return true;
         }
+        if self.planner.has_reservation(node, inst) {
+            // The queued reservation keeps its place; growing past it
+            // waits until it pops.
+            return false;
+        }
         let recommend = recommend_bytes(require, self.cfg.watermark);
+        let budget = self.budget(w, node);
         let physical = w.node_available_bytes(node);
         for target in [recommend, require] {
-            if target <= future {
-                continue;
-            }
             match self
-                .planner()
-                .plan_scale(node, inst, future, target, physical)
+                .planner
+                .plan_scale(node, inst, future, target, budget, physical)
             {
                 ScaleDecision::Execute => {
-                    self.wanted_scale.insert(inst, target);
+                    self.planned.insert(inst, target);
                     self.try_issue_wanted(w, node);
                     return true;
                 }
-                ScaleDecision::Reserve => return true,
+                ScaleDecision::Reserve => {
+                    self.planned.insert(inst, target);
+                    return true;
+                }
                 ScaleDecision::Reject => continue,
             }
         }
@@ -375,50 +400,45 @@ impl Slinfer {
     /// reservation-station notification of §VII-C.
     fn nudge_memory(&mut self, w: &mut World, node: NodeId) {
         let physical = w.node_available_bytes(node);
-        let popped = self.planner().release_reservations(node, physical);
-        for p in popped {
-            let e = self.wanted_scale.entry(p.inst).or_insert(p.to_bytes);
-            *e = (*e).max(p.to_bytes);
-        }
+        self.planner.release_reservations(node, physical);
         self.try_issue_wanted(w, node);
     }
 
-    /// Issues approved-but-parked scale ops whose instance is now free.
+    /// Issues the planned targets on `node` whose instance is free, active
+    /// and holds no reservation, and forgets those already reached.
     fn try_issue_wanted(&mut self, w: &mut World, node: NodeId) {
         let candidates: Vec<(InstanceId, u64)> = self
-            .wanted_scale
+            .planned
             .iter()
             .filter(|(&i, _)| w.instance_placement(i) == Some(node))
             .map(|(&i, &t)| (i, t))
             .collect();
         for (inst, to) in candidates {
             let Some(i) = w.instance(inst) else {
-                self.wanted_scale.remove(&inst);
+                self.planned.remove(&inst);
                 continue;
             };
-            if i.busy || i.scaling || i.state != InstanceState::Active {
+            if i.busy
+                || i.scaling
+                || i.state != InstanceState::Active
+                || self.planner.has_reservation(node, inst)
+            {
                 continue;
             }
             let cur = i.kv_capacity_bytes();
             if to == cur {
-                self.wanted_scale.remove(&inst);
+                self.planned.remove(&inst);
                 continue;
             }
             if to > cur && to - cur > w.node_available_bytes(node) {
                 continue; // physically blocked; a release will nudge us
             }
             match w.start_kv_scale(inst, to) {
-                Ok(()) => {
-                    self.wanted_scale.remove(&inst);
-                    self.issued_scale.insert(inst, to);
-                }
+                Ok(()) => {}
                 Err(MemError::BelowLiveSet) => {
-                    // Usage grew past the planned shrink target: cancel and
-                    // refund the optimistic release.
-                    self.wanted_scale.remove(&inst);
-                    if to < cur {
-                        self.planner().commit(node, cur - to);
-                    }
+                    // Usage grew past the planned shrink target: forget it,
+                    // which returns the instance's budget to its grant.
+                    self.planned.remove(&inst);
                 }
                 Err(_) => { /* physically blocked; retry on next release */ }
             }
@@ -434,11 +454,7 @@ impl Slinfer {
             return;
         };
         let Some(i) = w.instance(inst) else { return };
-        if i.scaling
-            || self.wanted_scale.contains_key(&inst)
-            || self.issued_scale.contains_key(&inst)
-            || self.planner().has_reservation(node, inst)
-        {
+        if i.scaling || self.planned.contains_key(&inst) {
             return;
         }
         let recommend = recommend_bytes(self.required(w, inst, None), self.cfg.watermark);
@@ -450,11 +466,10 @@ impl Slinfer {
         if target >= cur {
             return;
         }
-        let physical = w.node_available_bytes(node);
-        if self.planner().plan_scale(node, inst, cur, target, physical) == ScaleDecision::Execute {
-            self.wanted_scale.insert(inst, target);
-            self.try_issue_wanted(w, node);
-        }
+        // A scale-down always executes, and its bytes count towards the
+        // budget from the moment it is planned.
+        self.planned.insert(inst, target);
+        self.try_issue_wanted(w, node);
     }
 
     /// Admits `rr` to `inst`: a waiting request joins its queue, a
@@ -571,12 +586,12 @@ impl Slinfer {
         if cur < require {
             let delta = require - cur;
             let freed = victim_footprint(w, victim);
-            if self.planner().optimistic_available(node) + freed < delta {
+            if self.budget(w, node) + freed < delta {
                 return false; // one victim is not enough; stay conservative
             }
         }
-        // Validate the victim's requests can land elsewhere before touching
-        // anything (per-request check; §VIII-A's rescheduling validation).
+        // The victim's request ids, for the migration count. Nothing checks
+        // that they can land elsewhere before the victim is preempted.
         let victim_reqs: Vec<RequestId> = w
             .instance(victim)
             .map(|i| i.requests().iter().map(|r| r.req.id).collect())
@@ -590,9 +605,7 @@ impl Slinfer {
             vi.drain_for_preemption(now)
         };
         self.cancel_instance_state(w, victim);
-        let footprint = victim_footprint(w, victim);
         w.unload_instance(victim);
-        self.planner().release(node, footprint);
         self.nudge_memory(w, node);
         w.note_preemption();
         w.note_migration(&victim_reqs);
@@ -645,17 +658,14 @@ impl Slinfer {
             }
             let hw = w.node_hw(node);
             let kind_rank = if hw.kind.is_cpu() { 0u8 } else { 1 };
-            let avail = self.planner().optimistic_available(node);
             let needed = spec.weights_bytes() + grant;
-            if avail < needed || w.node_available_bytes(node) < needed {
+            if w.node_available_bytes(node) < needed {
                 continue;
             }
-            options.push((
-                kind_rank,
-                w.startup_score_ns(model, node),
-                avail - needed,
-                node,
-            ));
+            let Some(leftover) = self.budget(w, node).checked_sub(needed) else {
+                continue;
+            };
+            options.push((kind_rank, w.startup_score_ns(model, node), leftover, node));
         }
         options.sort();
         let tp = spec.tp_degree.max(1) as usize;
@@ -687,8 +697,6 @@ impl Slinfer {
             };
             match w.create_instance_group(model, node, &group, effective_grant) {
                 Ok(inst) => {
-                    self.planner()
-                        .commit(node, spec.weights_bytes() + effective_grant);
                     self.expected_active.insert(inst, act);
                     if self.cfg.pd_disaggregate && as_prefill {
                         self.prefill_insts.insert(inst);
@@ -732,18 +740,9 @@ impl Slinfer {
     /// Removes all scheduler state tied to an instance being unloaded.
     fn cancel_instance_state(&mut self, w: &World, inst: InstanceId) {
         if let Some(node) = w.instance_placement(inst) {
-            // Refund a parked (approved) op.
-            if let Some(to) = self.wanted_scale.remove(&inst) {
-                let cur = w.instance(inst).map(|i| i.kv_capacity_bytes()).unwrap_or(0);
-                if to > cur {
-                    self.planner().release(node, to - cur);
-                } else {
-                    self.planner().commit(node, cur - to);
-                }
-            }
-            self.planner().cancel_reservations(node, inst);
+            self.planner.cancel_reservations(node, inst);
         }
-        self.issued_scale.remove(&inst);
+        self.planned.remove(&inst);
         self.expected_active.remove(&inst);
         self.prefill_insts.remove(&inst);
     }
@@ -769,10 +768,10 @@ impl Slinfer {
             }
         }
         for (inst, rid) in expired {
-            let rr = w
-                .instance_mut(inst)
-                .expect("instance exists")
-                .remove_for_migration(rid, now);
+            let Some(i) = w.instance_mut(inst) else {
+                continue;
+            };
+            let rr = i.remove_for_migration(rid, now);
             w.drop_request(&rr);
             w.schedule_keepalive(inst);
         }
@@ -853,7 +852,6 @@ impl Policy for Slinfer {
     }
 
     fn on_scale_done(&mut self, w: &mut World, inst: InstanceId) {
-        self.issued_scale.remove(&inst);
         if let Some(node) = w.instance_placement(inst) {
             self.nudge_memory(w, node);
         }
@@ -889,42 +887,30 @@ impl Policy for Slinfer {
     }
 
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
-        let Some(i) = w.instance(inst).filter(|i| i.is_idle()) else {
+        if !w.instance(inst).is_some_and(|i| i.is_idle()) {
             return;
-        };
+        }
         let Some(node) = w.instance_placement(inst) else {
             return;
         };
-        let footprint = i.footprint_bytes();
         self.cancel_instance_state(w, inst);
         w.unload_instance(inst);
-        self.planner().release(node, footprint);
         self.nudge_memory(w, node);
         self.retry_queue(w);
     }
 
     fn on_node_event(&mut self, w: &mut World, ev: &ClusterEvent, displaced: Vec<RunningRequest>) {
         self.ensure_init(w);
-        match ev {
-            ClusterEvent::NodeJoin(_) => {
-                // The planner's budget table must cover the newcomer before
-                // any placement considers it.
-                let caps: Vec<u64> = w.node_ids().map(|n| w.node_hw(n).mem_bytes).collect();
-                self.planner().ensure_nodes(caps);
-            }
-            ClusterEvent::NodeDrain(node) | ClusterEvent::NodeFail(node) => {
-                // No further growth is approved on the node; parked
-                // reservations die with the budget (their instances are
-                // being evicted or are already gone).
-                self.planner().retire_node(*node);
-                // Reroute parked scale-ops: drop every op pinned to the
-                // retiring node or to an instance that no longer exists.
-                let gone = |i: &InstanceId| w.instance_placement(*i).is_none_or(|n| n == *node);
-                self.wanted_scale.retain(|i, _| !gone(i));
-                self.issued_scale.retain(|i, _| !gone(i));
-                self.expected_active.retain(|i, _| !gone(i));
-                self.prefill_insts.retain(|i| !gone(i));
-            }
+        if let ClusterEvent::NodeDrain(node) | ClusterEvent::NodeFail(node) = ev {
+            // The node takes no new work, so its budget is gone; parked
+            // reservations die with it (their instances are being evicted
+            // or are already gone). Drop every plan pinned to the retiring
+            // node or to an instance that no longer exists.
+            self.planner.retire_node(*node);
+            let gone = |i: &InstanceId| w.instance_placement(*i).is_none_or(|n| n == *node);
+            self.planned.retain(|i, _| !gone(i));
+            self.expected_active.retain(|i, _| !gone(i));
+            self.prefill_insts.retain(|i| !gone(i));
         }
         // Re-place what the event displaced, then drain the global queue —
         // a join may have opened capacity, a drain may force queued work
@@ -1259,6 +1245,49 @@ mod tests {
         let m = sim.run(&trace);
         assert_eq!(m.slo_met(), 0);
         assert_eq!(m.dropped, 1);
+    }
+
+    /// The budget follows each instance's planned grant: a shrink frees
+    /// budget when it is approved, a grow is planned on top of the shrink
+    /// target rather than the current grant, and cancelling an instance's
+    /// plans gives the budget back.
+    #[test]
+    fn budget_follows_each_instances_planned_grant() {
+        const GB: u64 = 1_000_000_000;
+        let mut w = World::new(&ClusterSpec::heterogeneous(0, 1), models(1), quiet_cfg());
+        let node = NodeId(0);
+        // One loading instance holding 40 GB: it is not active, so nothing
+        // planned for it issues and its grant stays put.
+        let cur = 40 * GB;
+        let inst = w.create_instance(ModelId(0), node, 0, cur).unwrap();
+        let held = w.node_hw(node).mem_bytes - w.model_spec(ModelId(0)).weights_bytes();
+        let mut s = Slinfer::new(SlinferConfig::default());
+        assert_eq!(s.budget(&w, node), held - cur);
+
+        // The lazy scale-down approves a shrink to S (Eq. 2's floor), and
+        // the budget counts S at once.
+        s.maybe_scale_down(&mut w, inst);
+        let shrink = s.planned[&inst];
+        assert!(shrink < cur);
+        assert_eq!(s.budget(&w, node), held - shrink);
+        // A demand between S and the current grant is not covered.
+        assert!(s.future_grant(w.instance(inst).unwrap()) < (shrink + cur) / 2);
+
+        // A grow past the current grant is planned from S: the budget falls
+        // by exactly T − S. It needs more than the node has free, so it is
+        // reserved.
+        let before = s.budget(&w, node);
+        assert!(s.plan_grow(&mut w, inst, cur + 4 * GB));
+        let grow = s.planned[&inst];
+        assert!(grow > cur);
+        assert_eq!(before - s.budget(&w, node), grow - shrink);
+        assert!(s.planner.has_reservation(node, inst));
+
+        // Cancelling drops the reservation and the plan: the budget is back
+        // to the current grant.
+        s.cancel_instance_state(&w, inst);
+        assert!(!s.planner.has_reservation(node, inst));
+        assert_eq!(s.budget(&w, node), held - cur);
     }
 
     #[test]
