@@ -173,14 +173,9 @@ impl<P: Policy> Simulation<P> {
                 self.policy.on_load_done(w, inst);
                 self.sweep_draining(node);
             }
-            Event::ScaleDone {
-                inst,
-                from_bytes,
-                to_bytes,
-                elapsed,
-            } => {
+            Event::ScaleDone { inst, elapsed } => {
                 let node = w.instance_placement(inst);
-                w.apply_scale_done(inst, from_bytes, to_bytes, elapsed);
+                w.apply_scale_done(inst, elapsed);
                 self.policy.on_scale_done(w, inst);
                 self.sweep_draining(node);
             }

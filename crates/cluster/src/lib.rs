@@ -6,15 +6,16 @@
 //!
 //! - [`node`] — [`NodeSpec`]/[`ClusterSpec`]: nodes with execution *slots*
 //!   (full-node for SLINFER and the exclusive baselines; two half-node slots
-//!   for `sllm+c+s` static sharing) and a physical memory ledger.
+//!   for `sllm+c+s` static sharing) and their physical memory.
 //! - [`checkpoint`] — [`CheckpointConfig`]/[`CheckpointStore`]: the
 //!   per-node tiered checkpoint cache (HBM/DRAM/SSD/remote) and the shared
 //!   loading channel behind locality-aware cold starts; the default
 //!   configuration reproduces the flat legacy loader bit for bit.
-//! - [`world`] — [`World`]: the live cluster state (instances, committed
-//!   memory, clock, RNG, event queue) and the *only* API policies may use to
-//!   act: admit requests, start iterations, create/unload instances, issue
-//!   KV rescales, set timers. Physical memory is enforced here — an
+//! - [`world`] — [`World`]: the live cluster state (instances, clock, RNG,
+//!   event queue) and the *only* API policies may use to act: admit
+//!   requests, start iterations, create/unload instances, issue KV
+//!   rescales, set timers. Physical memory is enforced here, against a
+//!   per-node ledger derived from the instances each node hosts — an
 //!   uncoordinated scale-up that would overflow a node is rejected and
 //!   counted as an OOM incident (§VII-C's hazard).
 //! - [`policy`] — the [`Policy`] trait: the callback surface (arrivals,

@@ -1,21 +1,25 @@
 //! The live cluster: the only surface through which policies act.
 //!
-//! [`World`] owns nodes (with their physical memory ledgers), all hosted
-//! instances, the clock, the event queue, the RNG, and the metrics recorder.
-//! Policies receive `&mut World` in their callbacks and use its methods to
-//! admit requests, start iterations, create/unload instances, rescale KV
-//! grants, and set timers. Ground-truth execution times come from the
-//! calibrated [`AnalyticPerf`] model perturbed by [`NoiseModel`]. Policies
-//! can price an iteration noiselessly through [`World::perf`] (the same
-//! call `start_iteration` makes, before the noise) and a cold start through
-//! [`World::estimate_load_s`], but never observe a duration before it
-//! finishes, exactly like a real control plane.
+//! [`World`] owns nodes, all hosted instances, the clock, the event queue,
+//! the RNG, and the metrics recorder. Policies receive `&mut World` in their
+//! callbacks and use its methods to admit requests, start iterations,
+//! create/unload instances, rescale KV grants, and set timers. Ground-truth
+//! execution times come from the calibrated [`AnalyticPerf`] model perturbed
+//! by [`NoiseModel`]. Policies can price an iteration noiselessly through
+//! [`World::perf`] (the same call `start_iteration` makes, before the noise)
+//! and a cold start through [`World::estimate_load_s`], but never observe a
+//! duration before it finishes, exactly like a real control plane.
 //!
+//! Each node's physical memory ledger is derived from its instances: the
+//! bytes left on a node are its memory minus what each hosted instance holds
+//! ([`Instance::committed_bytes`]), so no counter can drift from them.
 //! Physical memory is enforced at operation-issue time: a scale-up or
 //! instance creation that does not fit the node's remaining bytes fails with
 //! [`MemError::WouldOom`] and is counted in
 //! [`RunMetrics::oom_incidents`](crate::metrics::RunMetrics::oom_incidents).
 //! SLINFER's orchestrator (§VII-C) exists to keep that counter at zero.
+//! Every instance leaves through one path, whether it is unloaded, evacuated
+//! ([`World::evacuate`]) or lost with its node.
 
 use std::collections::BTreeMap;
 
@@ -199,11 +203,9 @@ pub(crate) enum Event {
         elapsed: SimDuration,
         epoch: u64,
     },
-    /// A KV rescale completes.
+    /// A KV rescale completes; its target is [`Instance::scaling`].
     ScaleDone {
         inst: InstanceId,
-        from_bytes: u64,
-        to_bytes: u64,
         elapsed: SimDuration,
     },
     /// Keep-alive check for an instance idle since `marker`.
@@ -219,7 +221,6 @@ pub(crate) enum Event {
 struct NodeState {
     hw: HardwareSpec,
     slot_shares: Vec<f64>,
-    committed: u64,
     health: NodeHealth,
     /// Tiered checkpoint cache (DRAM/SSD LRU state machine).
     store: CheckpointStore,
@@ -232,7 +233,6 @@ impl NodeState {
         NodeState {
             hw: spec.hw.clone(),
             slot_shares: spec.slot_shares.clone(),
-            committed: 0,
             health: NodeHealth::Up,
             store: CheckpointStore::new(),
             channel: LoadChannel::default(),
@@ -525,10 +525,16 @@ impl World {
         &self.nodes[node.0 as usize].hw
     }
 
-    /// Bytes not yet committed on a node.
+    /// Bytes no instance holds on a node: its memory minus each hosted
+    /// instance's [`Instance::committed_bytes`]. The ledger is derived
+    /// from the instances, so it cannot drift from them.
     pub fn node_available_bytes(&self, node: NodeId) -> u64 {
-        let n = &self.nodes[node.0 as usize];
-        n.hw.mem_bytes.saturating_sub(n.committed)
+        let ix = node.0 as usize;
+        let held: u64 = self.index.by_node[ix]
+            .iter()
+            .map(|id| self.instances[id].inst.committed_bytes())
+            .sum();
+        self.nodes[ix].hw.mem_bytes.saturating_sub(held)
     }
 
     /// Number of slots on a node.
@@ -991,7 +997,6 @@ impl World {
                 available,
             });
         }
-        self.nodes[node.0 as usize].committed += needed;
         let id = InstanceId(self.next_instance);
         self.next_instance += 1;
         // Fetch the checkpoint from its warmest tier, promoting it through
@@ -1174,7 +1179,7 @@ impl World {
     pub fn admit_decoding(&mut self, inst: InstanceId, rr: RunningRequest) -> bool {
         // detlint::allow(D005, "documented # Panics contract: PD handoff targets are validated by the policy before the ship")
         let h = self.instances.get_mut(&inst).expect("unknown instance");
-        if h.inst.scaling {
+        if h.inst.scaling.is_some() {
             // The block array is being rebuilt; admitting now could push
             // live usage past an in-flight shrink target.
             return false;
@@ -1271,15 +1276,20 @@ impl World {
         Ok(dur)
     }
 
-    /// Issues a KV rescale to `to_bytes`. Scale-ups commit the delta
-    /// immediately (the new blocks are allocated up front); scale-downs
-    /// release their delta only on completion — the asymmetry behind the
-    /// §VII-C hazard.
+    /// Issues a KV rescale to `to_bytes`. A scale-up holds its target on
+    /// the node from issue (the new blocks are allocated up front); a
+    /// scale-down keeps the old grant until it completes — the asymmetry
+    /// behind the §VII-C hazard ([`Instance::committed_bytes`]).
+    ///
+    /// # Panics
+    /// Panics if the instance is unknown, mid-iteration or mid-rescale.
     pub fn start_kv_scale(&mut self, inst: InstanceId, to_bytes: u64) -> Result<(), MemError> {
+        let available = self
+            .instance_placement(inst)
+            .map_or(0, |node| self.node_available_bytes(node));
         // detlint::allow(D005, "documented # Panics contract: rescales name instances the policy holds")
-        let node = self.instance_placement(inst).expect("unknown instance");
-        let h = &self.instances[&inst];
-        assert!(!h.inst.scaling, "rescale already in flight");
+        let h = self.instances.get_mut(&inst).expect("unknown instance");
+        assert!(h.inst.scaling.is_none(), "rescale already in flight");
         assert!(!h.inst.busy, "cannot rescale mid-iteration");
         let from_bytes = h.inst.kv_capacity_bytes();
         if to_bytes == from_bytes {
@@ -1289,78 +1299,78 @@ impl World {
             // Parked session KV is reclaimable under capacity pressure: try
             // shedding idle sessions (coldest first) before refusing the
             // shrink on behalf of the truly live set.
-            // detlint::allow(D005, "same instance re-fetched mutably; nothing removed it in between")
-            let h = self.instances.get_mut(&inst).expect("unknown instance");
             h.inst.evict_sessions_to_fit(to_bytes);
             if h.inst.kv_used_bytes() > to_bytes {
                 return Err(MemError::BelowLiveSet);
             }
         }
-        let h = &self.instances[&inst];
-        if to_bytes > from_bytes {
-            let delta = to_bytes - from_bytes;
-            let available = self.node_available_bytes(node);
-            if delta > available {
-                self.metrics.oom_incidents += 1;
-                return Err(MemError::WouldOom {
-                    node,
-                    needed: delta,
-                    available,
-                });
-            }
-            self.nodes[node.0 as usize].committed += delta;
+        if to_bytes > from_bytes && to_bytes - from_bytes > available {
+            self.metrics.oom_incidents += 1;
+            return Err(MemError::WouldOom {
+                node: h.node,
+                needed: to_bytes - from_bytes,
+                available,
+            });
         }
-        let hw = self.nodes[node.0 as usize].hw.clone();
-        let used = h.inst.kv_used_bytes();
-        let base = self.perf.kv_scale_time(&hw, from_bytes, to_bytes, used);
-        let dur = SimDuration::from_secs_f64(self.cfg.noise.apply(base, &mut self.rng));
-        // detlint::allow(D005, "same instance re-fetched mutably after the perf-model reads; nothing removed it in between")
-        let h = self.instances.get_mut(&inst).expect("unknown instance");
-        h.inst.scaling = true;
-        self.events.push(
-            self.clock + dur,
-            Event::ScaleDone {
-                inst,
-                from_bytes,
-                to_bytes,
-                elapsed: dur,
-            },
-        );
+        let (hw, used) = (&self.nodes[h.node.0 as usize].hw, h.inst.kv_used_bytes());
+        let base = self.perf.kv_scale_time(hw, from_bytes, to_bytes, used);
+        let elapsed = SimDuration::from_secs_f64(self.cfg.noise.apply(base, &mut self.rng));
+        h.inst.scaling = Some(to_bytes);
+        let done = Event::ScaleDone { inst, elapsed };
+        self.events.push(self.clock + elapsed, done);
         Ok(())
     }
 
-    /// Unloads an idle instance, releasing its committed memory.
+    /// Unloads an idle instance, releasing its memory.
     ///
     /// # Panics
-    /// Panics if the instance still has live requests, is mid-iteration, or
-    /// is mid-rescale.
+    /// Panics if the instance is unknown, still has live requests, is
+    /// mid-iteration, or is mid-rescale.
     pub fn unload_instance(&mut self, inst: InstanceId) {
-        // Co-tenants of its slots may run once it is gone.
-        self.wake_group(inst);
         // detlint::allow(D005, "documented # Panics contract: unloads name instances the policy holds")
-        let h = self.instances.remove(&inst).expect("unknown instance");
-        assert!(h.inst.is_idle(), "unloading a non-idle instance");
-        self.index.remove(
-            inst,
-            h.node.0 as usize,
-            &h.slots,
-            h.inst.model.0 as usize,
-            self.nodes[h.node.0 as usize].hw.kind,
-        );
-        let freed = h.inst.spec.weights_bytes() + h.inst.kv_capacity_bytes();
-        // A still-loading instance leaves the shared loading channel, and
-        // any co-loading survivors speed back up.
+        let idle = self.instance(inst).expect("unknown instance").is_idle();
+        assert!(idle, "unloading a non-idle instance");
+        self.remove_instance(inst);
+    }
+
+    /// Takes every request off `inst`, each counted as a migration and
+    /// reset to re-prefill elsewhere, and removes the instance. Returns
+    /// those requests (none if the instance is gone). Node drains, node
+    /// failures and SLINFER's preemption (§VIII-A) all evacuate here.
+    pub fn evacuate(&mut self, inst: InstanceId) -> Vec<RunningRequest> {
+        let now = self.clock;
+        let Some(h) = self.instances.get_mut(&inst) else {
+            return Vec::new();
+        };
+        let moved = h.inst.drain_for_preemption(now);
+        let ids: Vec<RequestId> = moved.iter().map(|r| r.req.id).collect();
+        self.note_migration(&ids);
+        self.remove_instance(inst);
+        moved
+    }
+
+    /// The one removal path, behind unloads and evacuations: wakes the
+    /// instance's slot group (co-tenants may run once it is gone),
+    /// unindexes it, takes a still-loading instance off its loading
+    /// channel, clears its arriving checkpoint mark, adds its lifetime and
+    /// drops the session homes it held. Its bytes leave the node's ledger
+    /// with it.
+    fn remove_instance(&mut self, inst: InstanceId) {
+        self.wake_group(inst);
+        let Some(h) = self.instances.remove(&inst) else {
+            return;
+        };
+        let (ix, model) = (h.node.0 as usize, h.inst.model.0 as usize);
+        let kind = self.nodes[ix].hw.kind;
+        self.index.remove(inst, ix, &h.slots, model, kind);
+        // Co-loading survivors on the channel speed back up.
         self.leave_channel(inst, h.channel_node());
         if self.cfg.dist.enabled() {
-            // Drop any arriving marker. The tier entry stays: the store
-            // keeps admitted-but-cancelled checkpoints, so the directory
-            // keeps reporting the copy too.
+            // The tier entry stays: the store keeps admitted-but-cancelled
+            // checkpoints, so the directory keeps reporting the copy too.
             self.dir.mark_ready(h.inst.model, h.node);
         }
-        let node = &mut self.nodes[h.node.0 as usize];
-        node.committed = node.committed.saturating_sub(freed);
         self.metrics.instance_lifetime_s += self.clock.since(h.inst.created_at).as_secs_f64();
-        // Unloading discards the instance's parked session KV with it.
         if self.cfg.sessions.enabled {
             for sid in h.inst.session_ids() {
                 if self.session_home.get(&sid) == Some(&inst) {
@@ -1501,40 +1511,17 @@ impl World {
                 // LoadDone events go stale. Fabric transfers it was
                 // streaming *out* (peer fetches whose destination
                 // survives) are rerouted below with what is left of them.
-                let now = self.clock;
-                let mut rerouted = self.nodes[node.0 as usize].channel.fail(now);
+                let mut rerouted = self.nodes[node.0 as usize].channel.fail(self.clock);
                 rerouted.retain(|(id, ..)| self.instances.get(id).is_some_and(|h| h.node != *node));
-                let n = &mut self.nodes[node.0 as usize];
-                n.committed = 0;
                 // The checkpoint cache dies with the host too (DRAM is gone
                 // and the disk never rejoins the fleet).
-                n.store.clear();
+                self.nodes[node.0 as usize].store.clear();
                 self.dir.clear_node(*node);
-                // Everything hosted is gone; salvage the request states.
-                let lost: Vec<InstanceId> = self.node_instances(*node).to_vec();
-                let mut displaced = Vec::new();
-                for inst in lost {
-                    // detlint::allow(D005, "`lost` was enumerated from this map in this match arm; no removal happens in between")
-                    let mut h = self.instances.remove(&inst).expect("listed");
-                    // A cold start streaming *into* this node over a
-                    // surviving peer's channel leaves that channel, so the
-                    // survivors there speed back up.
-                    if let Some(ch) = h.load_channel {
-                        self.leave_channel(inst, ch);
-                    }
-                    self.index.remove(
-                        inst,
-                        h.node.0 as usize,
-                        &h.slots,
-                        h.inst.model.0 as usize,
-                        self.nodes[h.node.0 as usize].hw.kind,
-                    );
-                    let moved = h.inst.drain_for_preemption(now);
-                    let ids: Vec<RequestId> = moved.iter().map(|r| r.req.id).collect();
-                    self.note_migration(&ids);
-                    self.metrics.instance_lifetime_s += now.since(h.inst.created_at).as_secs_f64();
-                    displaced.extend(moved);
-                }
+                // Everything hosted is gone; salvage the request states. A
+                // cold start streaming *into* this node over a surviving
+                // peer's channel leaves that channel.
+                let lost = self.node_instances(*node).to_vec();
+                let displaced = lost.into_iter().flat_map(|i| self.evacuate(i)).collect();
                 for (id, left, started) in rerouted {
                     self.reroute_transfer(id, left, started);
                     self.metrics.transfer_reroutes += 1;
@@ -1560,21 +1547,14 @@ impl World {
         if self.nodes[node.0 as usize].health != NodeHealth::Draining {
             return Vec::new();
         }
-        let now = self.clock;
-        let mut displaced = Vec::new();
-        for inst in self.node_instances(node).to_vec() {
-            // detlint::allow(D005, "the ids were copied from this node's index; only already-visited instances are unloaded before this fetch")
-            let h = self.instances.get_mut(&inst).expect("listed");
-            if h.inst.busy || h.inst.scaling {
-                continue; // swept up when the iteration/rescale completes
-            }
-            let moved = h.inst.drain_for_preemption(now);
-            let ids: Vec<RequestId> = moved.iter().map(|r| r.req.id).collect();
-            self.note_migration(&ids);
-            displaced.extend(moved);
-            self.unload_instance(inst);
-        }
-        displaced
+        // Busy or rescaling instances are swept up when they complete.
+        let free: Vec<InstanceId> = self
+            .node_instances(node)
+            .iter()
+            .copied()
+            .filter(|id| !self.instances[id].inst.is_occupied())
+            .collect();
+        free.into_iter().flat_map(|i| self.evacuate(i)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1589,34 +1569,23 @@ impl World {
         }
     }
 
-    pub(crate) fn apply_scale_done(
-        &mut self,
-        inst: InstanceId,
-        from_bytes: u64,
-        to_bytes: u64,
-        elapsed: SimDuration,
-    ) {
-        let h = match self.instances.get_mut(&inst) {
-            Some(h) => h,
-            None => return,
+    /// Completes `inst`'s rescale: the grant becomes the target, and a
+    /// shrink's bytes leave the node's ledger. The only place a grant
+    /// changes. A late completion for an instance that is gone (a node
+    /// failure took it) changes nothing.
+    pub(crate) fn apply_scale_done(&mut self, inst: InstanceId, elapsed: SimDuration) {
+        let Some(h) = self.instances.get_mut(&inst) else {
+            return;
         };
-        h.inst.scaling = false;
-        // Live usage may legitimately have grown since the shrink was
+        let Some(to_bytes) = h.inst.scaling.take() else {
+            return;
+        };
+        // Live usage may legitimately have grown since a shrink was
         // planned (e.g. a PD handoff raced the issue); clamp the target so
-        // the resize never cuts under the live block set.
-        let final_to = if to_bytes < from_bytes {
-            to_bytes.max(h.inst.kv_used_bytes()).min(from_bytes)
-        } else {
-            to_bytes
-        };
-        let ok = h.inst.apply_kv_resize(final_to);
+        // the resize never cuts under the live block set. A grow's target
+        // is above the live set already.
+        let ok = h.inst.apply_kv_resize(to_bytes.max(h.inst.kv_used_bytes()));
         debug_assert!(ok, "resize below live set slipped through");
-        let node = h.node;
-        if final_to < from_bytes {
-            let delta = from_bytes - final_to;
-            let n = &mut self.nodes[node.0 as usize];
-            n.committed = n.committed.saturating_sub(delta);
-        }
         self.metrics.scale_ops += 1;
         self.metrics.scale_blocked_s += elapsed.as_secs_f64();
         self.wake_group(inst);
@@ -1853,6 +1822,117 @@ mod tests {
             "unload retires the home directory entries it hosted"
         );
         assert_eq!(w.session_affinity_target(&session_req(0, 1)), None);
+    }
+
+    /// A shrink holds its bytes until it completes. A node failure in the
+    /// middle of a rescale returns every byte, and the late completion
+    /// changes nothing.
+    #[test]
+    fn shrink_holds_its_bytes_until_done_and_node_fail_returns_all() {
+        let mut w = session_world(SessionConfig::off(), 1);
+        let (node, mem) = (NodeId(0), w.node_hw(NodeId(0)).mem_bytes);
+        let held = |w: &World| mem - w.node_available_bytes(node);
+        let inst = w.create_instance(ModelId(0), node, 0, 8 * GB).unwrap();
+        let at_create = held(&w);
+        w.start_kv_scale(inst, 4 * GB).expect("shrink");
+        assert_eq!(w.instance(inst).unwrap().scaling, Some(4 * GB));
+        assert_eq!(held(&w), at_create, "a shrink releases nothing at issue");
+        w.apply_scale_done(inst, SimDuration::ZERO);
+        assert_eq!(held(&w), at_create - 4 * GB);
+        w.start_kv_scale(inst, 16 * GB).expect("grow");
+        assert_eq!(held(&w), at_create + 8 * GB, "a grow holds its target");
+        w.apply_cluster_event(&ClusterEvent::NodeFail(node));
+        assert_eq!(held(&w), 0);
+        w.apply_scale_done(inst, SimDuration::ZERO);
+        assert_eq!(held(&w), 0);
+        assert_eq!(w.metrics.scale_ops, 1, "the late completion counts nothing");
+    }
+
+    /// Drives random creates, rescales, completions, unloads, failures and
+    /// joins, and checks the derived ledger against the running counter it
+    /// replaced. The counter applies that ledger's rules: a create commits
+    /// weights + grant, a grow commits its delta at issue, a shrink
+    /// releases its delta (clamped to the live set) at completion, an
+    /// unload releases weights + grant, and a node failure zeroes the node.
+    #[test]
+    fn derived_ledger_matches_the_running_counter() {
+        let models = vec![ModelSpec::llama2_7b(), ModelSpec::llama3_2_3b()];
+        let cfg = WorldConfig::default();
+        let mut w = World::new(&ClusterSpec::heterogeneous(1, 2), models, cfg);
+        let mut rng = SimRng::new(23);
+        let mut counter = vec![0u64; w.node_count()];
+        // In-flight rescales as the completion event used to carry them.
+        let mut flying: Vec<(InstanceId, u64, u64)> = Vec::new();
+        let mut seen = [0u32; 7];
+        for step in 0..4_000 {
+            let ids = w.instance_ids();
+            let pick = (!ids.is_empty()).then(|| *rng.choose(&ids));
+            let op = rng.next_below(16);
+            let pick_if =
+                |ok: fn(&Instance) -> bool| pick.filter(|&id| ok(w.instance(id).unwrap()));
+            match op {
+                0..=3 => {
+                    let model = ModelId(rng.next_below(2) as u32);
+                    let node = NodeId(rng.next_below(w.node_count() as u64) as u32);
+                    let grant = rng.next_below(40 * GB);
+                    if w.create_instance(model, node, 0, grant).is_ok() {
+                        counter[node.0 as usize] += w.model_spec(model).weights_bytes() + grant;
+                        seen[0] += 1;
+                    }
+                }
+                4..=7 if pick_if(|i| i.scaling.is_none()).is_some() => {
+                    let id = pick.unwrap();
+                    let from = w.instance(id).unwrap().kv_capacity_bytes();
+                    let to = rng.next_below(2 * from + GB);
+                    let node = w.instance_placement(id).unwrap().0 as usize;
+                    if w.start_kv_scale(id, to).is_ok() && to != from {
+                        counter[node] += to.saturating_sub(from);
+                        flying.push((id, from, to));
+                        seen[1 + usize::from(to < from)] += 1;
+                    }
+                }
+                8..=11 if !flying.is_empty() => {
+                    let k = rng.next_below(flying.len() as u64) as usize;
+                    let (id, from, to) = flying.swap_remove(k);
+                    if let (Some(node), Some(i)) = (w.instance_placement(id), w.instance(id)) {
+                        let to = to.max(i.kv_used_bytes()).min(from);
+                        let c = &mut counter[node.0 as usize];
+                        *c = c.saturating_sub(from.saturating_sub(to));
+                        seen[3] += 1;
+                    }
+                    w.apply_scale_done(id, SimDuration::ZERO);
+                }
+                12..=14 if pick_if(Instance::is_idle).is_some() => {
+                    let id = pick.unwrap();
+                    let i = w.instance(id).unwrap();
+                    let c = &mut counter[w.instance_placement(id).unwrap().0 as usize];
+                    *c = c.saturating_sub(i.spec.weights_bytes() + i.kv_capacity_bytes());
+                    w.unload_instance(id);
+                    seen[4] += 1;
+                }
+                15 if rng.next_bool(0.5) => {
+                    let node = NodeId(rng.next_below(w.node_count() as u64) as u32);
+                    w.apply_cluster_event(&ClusterEvent::NodeFail(node));
+                    counter[node.0 as usize] = 0;
+                    seen[5] += 1;
+                }
+                15 => {
+                    let spec = NodeSpec::whole(HardwareSpec::a100_80g());
+                    w.apply_cluster_event(&ClusterEvent::NodeJoin(spec));
+                    counter.push(0);
+                    seen[6] += 1;
+                }
+                _ => {}
+            }
+            for n in w.node_ids() {
+                let reference = w.node_hw(n).mem_bytes.saturating_sub(counter[n.0 as usize]);
+                assert_eq!(w.node_available_bytes(n), reference, "step {step}, op {op}");
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k > 10),
+            "every operation ran: {seen:?}"
+        );
     }
 
     #[test]

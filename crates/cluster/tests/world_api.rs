@@ -93,7 +93,7 @@ fn scale_up_commits_at_issue_scale_down_at_completion() {
     // Grant only changes when the op completes (driver applies it); here we
     // verify the engine still reports the old capacity mid-flight.
     assert_eq!(w.instance(inst).unwrap().kv_capacity_bytes(), 4 * GB);
-    assert!(w.instance(inst).unwrap().scaling);
+    assert_eq!(w.instance(inst).unwrap().scaling, Some(8 * GB));
 }
 
 #[test]

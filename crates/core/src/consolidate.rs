@@ -25,25 +25,20 @@ pub fn order_candidates(
     prefer_cpu: bool,
     bin_pack: bool,
 ) -> Vec<InstanceId> {
-    let mut out: Vec<(bool, i64, InstanceId)> = w
+    // Sort keys: CPU-first (when preferred), then biggest batch, then id.
+    let mut out: Vec<(u8, i64, InstanceId)> = w
         .model_instances(model)
         .iter()
         .map(|&id| {
             // detlint::allow(D005, "model_instances lists only hosted instances, and each has a placement")
             let node = w.instance_placement(id).expect("listed instance");
             let is_cpu = w.node_hw(node).kind.is_cpu();
+            let kind_rank = if prefer_cpu && is_cpu { 0u8 } else { 1 };
             let batch = w.instance(id).map(|i| i.live_count() as i64).unwrap_or(0);
-            // Sort keys: CPU-first (when preferred), then biggest batch.
-            let kind_rank = if prefer_cpu && is_cpu { 0 } else { 1 };
-            (
-                kind_rank == 0,
-                if bin_pack { -batch } else { id.0 as i64 },
-                id,
-            )
+            (kind_rank, if bin_pack { -batch } else { id.0 as i64 }, id)
         })
-        .map(|(cpu_first, key, id)| (!cpu_first, key, id))
         .collect();
-    out.sort_by_key(|&(kind_rank, key, id)| (kind_rank, key, id.0));
+    out.sort_unstable();
     out.into_iter().map(|(_, _, id)| id).collect()
 }
 
@@ -60,7 +55,7 @@ pub fn pick_victim(w: &World, target: InstanceId) -> Option<InstanceId> {
             continue;
         }
         let Some(inst) = w.instance(id) else { continue };
-        if inst.busy || inst.scaling {
+        if inst.is_occupied() {
             continue;
         }
         if inst.state != engine::instance::InstanceState::Active {
@@ -75,11 +70,6 @@ pub fn pick_victim(w: &World, target: InstanceId) -> Option<InstanceId> {
         }
     }
     best.map(|(_, id)| id)
-}
-
-/// Memory that unloading `victim` would return to its node.
-pub fn victim_footprint(w: &World, victim: InstanceId) -> u64 {
-    w.instance(victim).map(|i| i.footprint_bytes()).unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -17,11 +17,13 @@
 //!   grants whenever it is needed, never stored, so it cannot drift from
 //!   the node. A scale-down frees budget at *approval* time (so waiting
 //!   requests can be admitted against memory that is about to free up),
-//!   while the physical ledger in [`cluster::World`] releases only at
-//!   *completion*. Scale-ups that are approved but do not yet fit
-//!   physically are parked in a per-node **reservation station** and
-//!   re-attempted whenever a scale-down completes — the paper's Fig. 19
-//!   flow.
+//!   while the node's physical ledger releases it only at *completion*:
+//!   [`cluster::World`] derives that ledger from what each instance holds
+//!   ([`engine::instance::Instance::committed_bytes`]), and a shrinking
+//!   instance holds its old grant until the rescale completes. Scale-ups
+//!   that are approved but do not yet fit physically are parked in a
+//!   per-node **reservation station** and re-attempted whenever a
+//!   scale-down completes — the paper's Fig. 19 flow.
 
 use std::collections::BTreeMap;
 

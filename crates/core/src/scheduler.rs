@@ -24,7 +24,7 @@ use simcore::time::{SimDuration, SimTime};
 use workload::request::{ModelId, RequestId};
 
 use crate::config::SlinferConfig;
-use crate::consolidate::{order_candidates, pick_victim, victim_footprint};
+use crate::consolidate::{order_candidates, pick_victim};
 use crate::memory::{
     recommend_bytes, required_bytes, should_scale_down, MemoryPlanner, ScaleDecision,
 };
@@ -405,27 +405,21 @@ impl Slinfer {
     }
 
     /// Issues the planned targets on `node` whose instance is free, active
-    /// and holds no reservation, and forgets those already reached.
+    /// and holds no reservation, and forgets those already reached, in
+    /// ascending instance order.
     fn try_issue_wanted(&mut self, w: &mut World, node: NodeId) {
-        let candidates: Vec<(InstanceId, u64)> = self
-            .planned
+        // Issuing one rescale changes no other instance's state or grant.
+        let candidates: Vec<(InstanceId, u64, u64)> = w
+            .node_instances(node)
             .iter()
-            .filter(|(&i, _)| w.instance_placement(i) == Some(node))
-            .map(|(&i, &t)| (i, t))
+            .filter_map(|&id| {
+                let (&to, i) = (self.planned.get(&id)?, w.instance(id)?);
+                let free = !i.is_occupied() && i.state == InstanceState::Active;
+                let issuable = free && !self.planner.has_reservation(node, id);
+                issuable.then(|| (id, to, i.kv_capacity_bytes()))
+            })
             .collect();
-        for (inst, to) in candidates {
-            let Some(i) = w.instance(inst) else {
-                self.planned.remove(&inst);
-                continue;
-            };
-            if i.busy
-                || i.scaling
-                || i.state != InstanceState::Active
-                || self.planner.has_reservation(node, inst)
-            {
-                continue;
-            }
-            let cur = i.kv_capacity_bytes();
+        for (inst, to, cur) in candidates {
             if to == cur {
                 self.planned.remove(&inst);
                 continue;
@@ -454,7 +448,7 @@ impl Slinfer {
             return;
         };
         let Some(i) = w.instance(inst) else { return };
-        if i.scaling || self.planned.contains_key(&inst) {
+        if i.scaling.is_some() || self.planned.contains_key(&inst) {
             return;
         }
         let recommend = recommend_bytes(self.required(w, inst, None), self.cfg.watermark);
@@ -585,30 +579,18 @@ impl Slinfer {
             .unwrap_or(0);
         if cur < require {
             let delta = require - cur;
-            let freed = victim_footprint(w, victim);
+            let freed = w.instance(victim).map_or(0, Instance::committed_bytes);
             if self.budget(w, node) + freed < delta {
                 return false; // one victim is not enough; stay conservative
             }
         }
-        // The victim's request ids, for the migration count. Nothing checks
-        // that they can land elsewhere before the victim is preempted.
-        let victim_reqs: Vec<RequestId> = w
-            .instance(victim)
-            .map(|i| i.requests().iter().map(|r| r.req.id).collect())
-            .unwrap_or_default();
-        // Execute: drain, unload, reroute, then admit.
-        let drained = {
-            let now = w.now();
-            let Some(vi) = w.instance_mut(victim) else {
-                return false;
-            };
-            vi.drain_for_preemption(now)
-        };
+        // Execute: evacuate the victim, reroute its requests, then admit.
+        // Nothing checks that they can land elsewhere before the victim is
+        // preempted.
         self.cancel_instance_state(w, victim);
-        w.unload_instance(victim);
+        let drained = w.evacuate(victim);
         self.nudge_memory(w, node);
         w.note_preemption();
-        w.note_migration(&victim_reqs);
         for moved in drained {
             if !self.try_place(w, &moved, false, None) {
                 self.backlog.push(w, moved);

@@ -102,8 +102,11 @@ pub struct Instance {
     /// running iteration: the cluster layer derives whether a slot is
     /// busy from the flags of the instances on it.
     pub busy: bool,
-    /// True while a KV rescale executes (iterations are blocked, §VII-B).
-    pub scaling: bool,
+    /// The grant an in-flight KV rescale is heading to, `None` when no
+    /// rescale runs. Iterations are blocked while it is set (§VII-B); the
+    /// grant itself changes only when the cluster layer completes the
+    /// rescale.
+    pub scaling: Option<u64>,
     /// Creation time (cold-start begin).
     pub created_at: SimTime,
     /// When the instance last became empty, for keep-alive reclaim.
@@ -132,7 +135,7 @@ impl Instance {
             session_kv: BTreeMap::new(),
             session_seq: 0,
             busy: false,
-            scaling: false,
+            scaling: None,
             created_at: now,
             idle_since: None,
         }
@@ -196,8 +199,7 @@ impl Instance {
     /// True if an iteration could be scheduled right now.
     pub fn has_work(&self) -> bool {
         self.state == InstanceState::Active
-            && !self.busy
-            && !self.scaling
+            && !self.is_occupied()
             && self.requests.iter().any(|r| {
                 matches!(r.phase, ReqPhase::Waiting) || matches!(r.phase, ReqPhase::Decoding)
             })
@@ -208,10 +210,16 @@ impl Instance {
         !self.requests.is_empty()
     }
 
+    /// True while an iteration or a KV rescale runs: the instance can
+    /// start neither until it completes.
+    pub fn is_occupied(&self) -> bool {
+        self.busy || self.scaling.is_some()
+    }
+
     /// True when nothing runs or waits here: no live request, no
     /// iteration, no KV rescale. Only an idle instance may be unloaded.
     pub fn is_idle(&self) -> bool {
-        !self.has_live_requests() && !self.busy && !self.scaling
+        !self.has_live_requests() && !self.is_occupied()
     }
 
     /// The most urgent schedulable work: minimum headroom over waiting
@@ -252,7 +260,7 @@ impl Instance {
     /// not waiting.
     pub fn begin_prefill(&mut self, id: RequestId) -> Option<PrefillStart> {
         assert!(self.state == InstanceState::Active, "instance not active");
-        assert!(!self.busy && !self.scaling, "instance already occupied");
+        assert!(!self.is_occupied(), "instance already occupied");
         let ix = self.find(id).expect("unknown request");
         assert!(
             matches!(self.requests[ix].phase, ReqPhase::Waiting),
@@ -329,7 +337,7 @@ impl Instance {
     /// Panics if the instance is occupied or the batch is empty.
     pub fn begin_decode(&mut self) -> (u32, u64) {
         assert!(self.state == InstanceState::Active, "instance not active");
-        assert!(!self.busy && !self.scaling, "instance already occupied");
+        assert!(!self.is_occupied(), "instance already occupied");
         let bs = self.batch_size();
         assert!(bs > 0, "decode with empty batch");
         self.busy = true;
@@ -582,9 +590,20 @@ impl Instance {
         self.pool.utilization()
     }
 
-    /// Total memory footprint committed on the node: weights + KV grant.
+    /// Weights plus the current KV grant: what the memory-utilization
+    /// samples divide the used bytes by. While a rescale is in flight the
+    /// node holds [`Instance::committed_bytes`] instead.
     pub fn footprint_bytes(&self) -> u64 {
         self.spec.weights_bytes() + self.pool.capacity_bytes()
+    }
+
+    /// The bytes this instance holds on its node: the weights plus the
+    /// larger of the KV grant and an in-flight rescale's target. A scale-up
+    /// holds its target from issue; a scale-down keeps the old grant until
+    /// it completes (the asymmetry behind the §VII-C hazard).
+    pub fn committed_bytes(&self) -> u64 {
+        let kv = self.pool.capacity_bytes().max(self.scaling.unwrap_or(0));
+        self.spec.weights_bytes() + kv
     }
 }
 
